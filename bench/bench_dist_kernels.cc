@@ -218,7 +218,7 @@ void BenchDp() {
   CostModel model;
   Distribution memory = UniformBuckets(50, 5000, 27);
   OptimizerOptions opts;
-  // Pruning off: this metric isolates the flat-table-vs-map axis, and
+  // Pruning off: this metric isolates the sparse-table-vs-map axis, and
   // RunDpLegacy never prunes. The pruning axis is E20 (bench_dp_pruning).
   opts.dp_pruning = DpPruning::kOff;
   DpContext ctx(w.query, w.catalog, opts);

@@ -27,7 +27,7 @@ bool FastPathValid(const CostModel& model, JoinMethod method,
 
 // ---------------------------------------------------------------------------
 // Kernel path: size propagation and EC evaluation on arena-backed SoA
-// views, decisions recorded in a flat DP table and the plan materialized
+// views, decisions recorded in the sparse DP table and the plan materialized
 // once at the end. Mirrors the legacy path candidate for candidate, so
 // objectives are bit-identical (I7 holds them together within
 // verify/tolerance.h bounds as a safety net).
@@ -41,31 +41,35 @@ bool FastPathValid(const CostModel& model, JoinMethod method,
 // are the tripwire that catches the two copies drifting apart.
 // ---------------------------------------------------------------------------
 
-/// Reusable per-thread state of the kernel path; Prepare only grows.
+/// OptimizeAlgorithmD routes a query to the legacy pipeline when 2^n ×
+/// (predicates + 1) exceeds this. The limit guards the kernel path's dense
+/// per-subset size tables below (a view, hash and mean for each of the 2^n
+/// subsets); the decision table itself is the sparse DpScratch.
+constexpr size_t kMaxDenseSizeTableEntries = size_t{1} << 23;
+
+/// The kernel path's per-thread size tables, indexed by subset. They only
+/// grow; ReleaseThreadLocalDpScratch frees them.
 struct DScratch {
   std::vector<DistView> size_view;
   std::vector<uint64_t> size_hash;
   std::vector<double> size_mean;
-  DpScratch dp;  // also supplies the predicate scratch via dp.preds()
 
   void Prepare(size_t num_subsets) {
-    // Same retention policy as DpScratch::Prepare: a one-off outlier query
-    // must not pin its worst-case tables on the thread forever.
-    constexpr size_t kShrinkFloorSubsets = size_t{1} << 18;
-    if (size_view.size() > kShrinkFloorSubsets &&
-        num_subsets < size_view.size() / 4) {
-      size_view.clear();
-      size_view.shrink_to_fit();
-      size_hash.clear();
-      size_hash.shrink_to_fit();
-      size_mean.clear();
-      size_mean.shrink_to_fit();
-    }
     if (size_view.size() < num_subsets) {
       size_view.resize(num_subsets);
       size_hash.resize(num_subsets);
       size_mean.resize(num_subsets);
     }
+  }
+
+  size_t Release() {
+    size_t bytes = size_view.capacity() * sizeof(DistView) +
+                   size_hash.capacity() * sizeof(uint64_t) +
+                   size_mean.capacity() * sizeof(double);
+    std::vector<DistView>().swap(size_view);
+    std::vector<uint64_t>().swap(size_hash);
+    std::vector<double>().swap(size_mean);
+    return bytes;
   }
 };
 
@@ -77,15 +81,6 @@ DScratch& ThreadLocalDScratch() {
 DistArena& ThreadLocalDArena() {
   thread_local DistArena arena;
   return arena;
-}
-
-PlanPtr BuildDPlan(const DpContext& ctx, DScratch& sc, TableSet s,
-                   OrderId order) {
-  // One shared decision-replay (dp_common.h); only the size annotation
-  // source differs: D stamps per-subset size-distribution means.
-  return ReplayDpDecisions(ctx, &sc.dp, s, order, [&sc](TableSet subset) {
-    return sc.size_mean[subset];
-  });
 }
 
 OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
@@ -106,7 +101,8 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
   arena->Reset();  // per-DP-instance reset: all views below die with us
   DScratch& sc = ThreadLocalDScratch();
   sc.Prepare(num_subsets);
-  sc.dp.Prepare(n, query.num_predicates());
+  DpScratch& dp = ThreadLocalDpScratch();
+  dp.Prepare(n, query.num_predicates());
 
   DistView mem = memory.AsView();
   uint64_t mem_hash = cache != nullptr ? memory.ContentHash() : 0;
@@ -145,8 +141,8 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
       // derivation per subset suffices (§3.6.3).
       QueryPos j = *MemberRange(s).begin();
       TableSet sj = s & ~(TableSet{1} << j);
-      query.ConnectingPredicatesInto(sj, j, &sc.dp.preds());
-      DistView sel = CombinedSelectivityViewInto(query, sc.dp.preds(),
+      query.ConnectingPredicatesInto(sj, j, &dp.preds());
+      DistView sel = CombinedSelectivityViewInto(query, dp.preds(),
                                                  options.size_buckets, arena);
       sc.size_view[s] =
           JoinSizeViewInto(sc.size_view[sj], sc.size_view[TableSet{1} << j],
@@ -159,29 +155,34 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
     if (cache != nullptr) sc.size_hash[s] = ViewContentHash(sc.size_view[s]);
   }
 
+  // The decision table is the same sparse live-subset table RunDpInto
+  // fills (dp_common.h), built wave by wave; each slot caches its subset's
+  // size-distribution mean, the page annotation of the replayed plan.
   for (QueryPos p = 0; p < n; ++p) {
     TableSet s = TableSet{1} << p;
     // Scan cost linear in size.
-    sc.dp.RetainBest(s, kUnsorted, sc.size_mean[s], DpDecision{});
+    dp.OpenSlot(s);
+    dp.RetainBest(kUnsorted, sc.size_mean[s], DpDecision{});
+    dp.CloseSlot([&] { return sc.size_mean[s]; });
   }
 
   for (int size = 2; size <= n; ++size) {
-    for (TableSet s = 1; s < num_subsets; ++s) {
-      if (SetSize(s) != size) continue;
+    for (TableSet s : dp.NextWave()) {
+      dp.OpenSlot(s);
       for (QueryPos j : MemberRange(s)) {
         TableSet sj = s & ~(TableSet{1} << j);
-        uint16_t left_count = sc.dp.Count(sj);
-        if (left_count == 0) continue;
+        const DpSlot* left = dp.Find(sj);
+        if (left == nullptr) continue;
         if (ctx.CrossProductForbidden(sj, j)) continue;
-        query.ConnectingPredicatesInto(sj, j, &sc.dp.preds());
-        const std::vector<int>& preds = sc.dp.preds();
+        query.ConnectingPredicatesInto(sj, j, &dp.preds());
+        const std::vector<int>& preds = dp.preds();
         TableSet rs_set = TableSet{1} << j;
         DistView left_size = sc.size_view[sj];
         DistView right_size = sc.size_view[rs_set];
-        double right_ec = sc.dp.Entries(rs_set)[0].cost;
+        double right_ec = dp.Entries(*dp.Find(rs_set))[0].cost;
 
-        const DpFlatEntry* lefts = sc.dp.Entries(sj);
-        for (uint16_t li = 0; li < left_count; ++li) {
+        const DpFlatEntry* lefts = dp.Entries(*left);
+        for (uint32_t li = 0; li < left->count; ++li) {
           OrderId left_order = lefts[li].order;
           double left_ec = lefts[li].cost;
           for (JoinMethod method : options.join_methods) {
@@ -232,23 +233,24 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
                 d.left_order = static_cast<int16_t>(left_order);
                 d.method = method;
                 d.inner_sorted = rs;
-                sc.dp.RetainBest(s, out_order, total, d);
+                dp.RetainBest(out_order, total, d);
               }
             }
           }
         }
       }
+      dp.CloseSlot([&] { return sc.size_mean[s]; });
     }
   }
 
   TableSet all = query.AllTables();
-  uint16_t root_count = sc.dp.Count(all);
-  if (root_count == 0) throw std::runtime_error("no plan found for query");
-  const DpFlatEntry* roots = sc.dp.Entries(all);
+  const DpSlot* root = dp.Find(all);
+  if (root == nullptr) throw std::runtime_error("no plan found for query");
+  const DpFlatEntry* roots = dp.Entries(*root);
   double best = std::numeric_limits<double>::infinity();
   OrderId best_order = kUnsorted;
   bool best_needs_sort = false;
-  for (uint16_t ri = 0; ri < root_count; ++ri) {
+  for (uint32_t ri = 0; ri < root->count; ++ri) {
     double total = roots[ri].cost;
     bool needs_sort =
         query.required_order() && roots[ri].order != *query.required_order();
@@ -260,7 +262,7 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
     }
   }
   result.objective = best;
-  PlanPtr plan = BuildDPlan(ctx, sc, all, best_order);
+  PlanPtr plan = ReplayDpDecisions(ctx, dp, all, best_order);
   if (best_needs_sort) plan = MakeSort(plan, *query.required_order());
   result.plan = plan;
   result.elapsed_seconds = timer.Seconds();
@@ -437,17 +439,26 @@ OptimizeResult OptimizeAlgorithmD(const Query& query, const Catalog& catalog,
                                   const CostModel& model,
                                   const Distribution& memory,
                                   const OptimizerOptions& options) {
-  // Same memory valve as RunDp: the kernel path's flat decision table is
-  // dense, so a huge densely-predicated query routes to the sparse legacy
-  // pipeline instead of attempting a multi-GB slab.
+  // The kernel path's size tables are dense in 2^n, so a huge
+  // densely-predicated query routes to the legacy pipeline instead (see
+  // kMaxDenseSizeTableEntries).
   size_t flat_entries =
       (size_t{1} << query.num_tables()) *
       (static_cast<size_t>(query.num_predicates()) + 1);
-  bool kernels = options.use_dist_kernels && flat_entries <= kMaxFlatDpEntries;
+  bool kernels =
+      options.use_dist_kernels && flat_entries <= kMaxDenseSizeTableEntries;
   return kernels ? OptimizeAlgorithmDKernel(query, catalog, model, memory,
                                             options)
                  : OptimizeAlgorithmDLegacy(query, catalog, model, memory,
                                             options);
 }
+
+namespace internal {
+
+size_t ReleaseThreadLocalAlgorithmDTables() {
+  return ThreadLocalDScratch().Release();
+}
+
+}  // namespace internal
 
 }  // namespace lec

@@ -1,6 +1,8 @@
 #include "optimizer/dp_common.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -17,23 +19,118 @@ DpContext::DpContext(const Query& query, const Catalog& catalog,
     table_pages_.push_back(
         catalog.table(query.table(p)).SizeDistribution().Mean());
   }
-  size_t num_subsets = size_t{1} << n;
-  subset_pages_.assign(num_subsets, 1.0);
-  std::vector<int> preds;  // reused across subsets: 1 allocation, not 2^n
-  for (TableSet s = 1; s < num_subsets; ++s) {
-    double pages = 1.0;
-    for (QueryPos p : MemberRange(s)) pages *= table_pages_[p];
-    query.InternalPredicatesInto(s, &preds);
-    for (int i : preds) {
-      pages *= query.predicate(i).selectivity.Mean();
-    }
-    subset_pages_[s] = pages;
-  }
-  min_subset_pages_ = std::numeric_limits<double>::infinity();
-  for (TableSet s = 1; s < num_subsets; ++s) {
-    min_subset_pages_ = std::min(min_subset_pages_, subset_pages_[s]);
+  pred_tables_.reserve(query.num_predicates());
+  pred_selectivity_.reserve(query.num_predicates());
+  for (const JoinPredicate& pred : query.predicates()) {
+    pred_tables_.push_back(TableSet{1} << pred.left |
+                           TableSet{1} << pred.right);
+    pred_selectivity_.push_back(pred.selectivity.Mean());
   }
   query_connected_ = query.IsConnected(query.AllTables());
+}
+
+double DpContext::SubsetPages(TableSet s) const {
+  double pages = 1.0;
+  for (QueryPos p : MemberRange(s)) pages *= table_pages_[p];
+  for (size_t i = 0; i < pred_tables_.size(); ++i) {
+    if ((pred_tables_[i] & ~s) == 0) pages *= pred_selectivity_[i];
+  }
+  return pages;
+}
+
+double DpContext::MinSubsetPages() const {
+  if (!min_subset_pages_ready_) {
+    min_subset_pages_ = ComputeMinSubsetPages();
+    min_subset_pages_ready_ = true;
+  }
+  return min_subset_pages_;
+}
+
+double DpContext::ComputeMinSubsetPages() const {
+  // Depth-first over every nonempty subset, extending by members in
+  // ascending order. Each frame carries what SubsetPages would recompute:
+  // the running product of member table sizes (a new member is always the
+  // largest, so it multiplies last, exactly as in SubsetPages) and the
+  // ascending list of internal predicates. Adding member q contributes the
+  // predicates whose larger endpoint is q ("closing" at q) and whose other
+  // endpoint is already inside; merging keeps the list ascending. Every
+  // subset's value is therefore SubsetPages(s) bit for bit, in
+  // O(|internal(s)|).
+  int n = num_tables();
+  std::vector<std::vector<int>> closing(static_cast<size_t>(n));
+  for (size_t i = 0; i < pred_tables_.size(); ++i) {
+    int top = 31 - std::countl_zero(pred_tables_[i]);
+    closing[static_cast<size_t>(top)].push_back(static_cast<int>(i));
+  }
+
+  // Branch and bound. Adding member q multiplies a subset's exact pages by
+  // table_pages[q] and by the selectivities of the predicates closing at
+  // q that fall inside, so — with every selectivity at most 1 — by at
+  // least g_q = min(1, table_pages[q] · Π_{closing at q} selectivity).
+  // Every superset s ∪ T with T above max(s) therefore has exact pages at
+  // least pages(s) · rest[max(s) + 1], where rest[q] = Π_{r ≥ q} g_r.
+  // The bound is used only when it is sound in floating point:
+  //   * every table page count is finite and at least 1 and every
+  //     selectivity lies in [+0, 1], so a value's partial products rise
+  //     through the tables and then fall, and values are never negative;
+  //   * the bound and rest[max(s) + 1] are finite and at least kNormal,
+  //     so every partial product involved stays normal and each computed
+  //     value is within 2(n + P) + 1 roundings of its exact one — far
+  //     inside the 2^-30 slack for P < 2^20.
+  // A subtree whose bound exceeds the best value so far by that slack then
+  // holds no computed value at or below it, and skipping it returns the
+  // same bits as visiting it. Outside that range the walk visits every
+  // subset.
+  constexpr double kNormal = 0x1p-900;
+  bool bounded =
+      pred_tables_.size() < (size_t{1} << 20) &&
+      std::all_of(table_pages_.begin(), table_pages_.end(),
+                  [](double v) { return std::isfinite(v) && v >= 1; }) &&
+      std::all_of(pred_selectivity_.begin(), pred_selectivity_.end(),
+                  [](double v) { return !std::signbit(v) && v <= 1; });
+  std::vector<double> rest(static_cast<size_t>(n) + 1, 1.0);
+  for (QueryPos q = n - 1; q >= 0; --q) {
+    double g = table_pages_[q];
+    for (int i : closing[static_cast<size_t>(q)]) g *= pred_selectivity_[i];
+    rest[q] = rest[q + 1] * std::min(1.0, g);
+  }
+
+  // lists[d]: internal predicates of the depth-d subset on the DFS path
+  // (one spare level: the deepest frame still names its successor's list).
+  std::vector<std::vector<int>> lists(static_cast<size_t>(n) + 2);
+  for (std::vector<int>& list : lists) list.reserve(pred_tables_.size());
+  double best = std::numeric_limits<double>::infinity();
+  auto walk = [&](auto& self, TableSet s, double pages_s, size_t depth,
+                  double prod, QueryPos lo) -> void {
+    if (bounded && s != 0) {
+      if (best == 0) return;  // values are never negative
+      double bound = pages_s * rest[lo];
+      if (rest[lo] >= kNormal && bound >= kNormal && std::isfinite(bound) &&
+          bound * (1 - 0x1p-30) > best) {
+        return;
+      }
+    }
+    const std::vector<int>& inner = lists[depth];
+    std::vector<int>& next = lists[depth + 1];
+    for (QueryPos q = lo; q < n; ++q) {
+      TableSet t = s | TableSet{1} << q;
+      double t_prod = prod * table_pages_[q];
+      next.clear();
+      auto it = inner.begin();
+      for (int i : closing[static_cast<size_t>(q)]) {
+        if ((pred_tables_[i] & ~t) != 0) continue;
+        while (it != inner.end() && *it < i) next.push_back(*it++);
+        next.push_back(i);
+      }
+      next.insert(next.end(), it, inner.end());
+      double pages = t_prod;
+      for (int i : next) pages *= pred_selectivity_[i];
+      best = std::min(best, pages);
+      self(self, t, pages, depth + 1, t_prod, q + 1);
+    }
+  };
+  walk(walk, TableSet{0}, 1.0, 0, 1.0, 0);
+  return best;
 }
 
 bool DpContext::CrossProductForbidden(TableSet subset, QueryPos j) const {
@@ -43,46 +140,65 @@ bool DpContext::CrossProductForbidden(TableSet subset, QueryPos j) const {
 }
 
 void DpScratch::Prepare(int num_tables, int num_predicates) {
-  size_t num_subsets = size_t{1} << num_tables;
-  stride_ = static_cast<size_t>(num_predicates) + 1;
-  size_t want = num_subsets * stride_;
-  // The scratch is long-lived (thread-local in RunDp), so a one-off giant
-  // query must not pin its worst-case table forever: when the retained
-  // slab is both large in absolute terms (~100 MB at 24 B/entry) and 4x
-  // what this query needs, release it and size to fit. Same-shape repeats
-  // — the steady state the zero-allocation property is about — never
-  // trigger this.
-  constexpr size_t kShrinkFloorEntries = size_t{1} << 22;
-  if (entries_.size() > kShrinkFloorEntries && want < entries_.size() / 4) {
-    entries_.clear();
-    entries_.shrink_to_fit();
-    live_.clear();
-    live_.shrink_to_fit();
-    cand_.clear();
-    cand_.shrink_to_fit();
-    stamp_.clear();
-    stamp_.shrink_to_fit();
-    epoch_ = 0;
-  }
-  if (entries_.size() < want) entries_.resize(want);
-  counts_.assign(num_subsets, 0);  // reuses capacity once warmed
+  num_tables_ = num_tables;
+  room_ = static_cast<size_t>(num_predicates) + 1;
+  slots_.clear();
+  waves_.assign(1, 0);  // the singleton wave starts at slot 0
+  used_ = 0;
   preds_.reserve(static_cast<size_t>(num_predicates));
   table_floor_.reserve(static_cast<size_t>(num_tables));
-  live_.reserve(num_subsets);
-  cand_.reserve(num_subsets);
-  if (stamp_.size() < num_subsets) stamp_.resize(num_subsets, 0);
   best_root_order = kUnsorted;
   root_needs_sort = false;
 }
 
+const std::vector<TableSet>& DpScratch::NextWave() {
+  cand_.clear();
+  for (size_t i = waves_.back(); i < slots_.size(); ++i) {
+    TableSet base = slots_[i].subset;
+    for (QueryPos j = 0; j < num_tables_; ++j) {
+      if (!(base >> j & 1)) cand_.push_back(base | TableSet{1} << j);
+    }
+  }
+  std::sort(cand_.begin(), cand_.end());
+  cand_.erase(std::unique(cand_.begin(), cand_.end()), cand_.end());
+  waves_.push_back(static_cast<uint32_t>(slots_.size()));
+  return cand_;
+}
+
+void DpScratch::OpenSlot(TableSet s) {
+  // Grows only past the high-water mark; a warmed scratch never
+  // re-allocates here.
+  if (entries_.size() < used_ + room_) entries_.resize(used_ + room_);
+  DpSlot slot;
+  slot.subset = s;
+  slot.offset = static_cast<uint32_t>(used_);
+  slots_.push_back(slot);
+}
+
+const DpSlot* DpScratch::Find(TableSet s) const {
+  int size = std::popcount(s);
+  if (size == 1) {
+    size_t p = static_cast<size_t>(std::countr_zero(s));
+    return p < slots_.size() && slots_[p].subset == s ? &slots_[p] : nullptr;
+  }
+  if (size < 1 || static_cast<size_t>(size) > waves_.size()) return nullptr;
+  auto begin = slots_.begin() + waves_[static_cast<size_t>(size) - 1];
+  auto end = static_cast<size_t>(size) < waves_.size()
+                 ? slots_.begin() + waves_[static_cast<size_t>(size)]
+                 : slots_.end();
+  auto it = std::lower_bound(
+      begin, end, s,
+      [](const DpSlot& slot, TableSet key) { return slot.subset < key; });
+  return it != end && it->subset == s ? &*it : nullptr;
+}
+
 size_t DpScratch::RetainedBytes() const {
-  return entries_.capacity() * sizeof(DpFlatEntry) +
-         counts_.capacity() * sizeof(uint16_t) +
-         preds_.capacity() * sizeof(int) +
-         table_floor_.capacity() * sizeof(double) +
-         live_.capacity() * sizeof(TableSet) +
+  return slots_.capacity() * sizeof(DpSlot) +
+         entries_.capacity() * sizeof(DpFlatEntry) +
+         waves_.capacity() * sizeof(uint32_t) +
          cand_.capacity() * sizeof(TableSet) +
-         stamp_.capacity() * sizeof(uint32_t);
+         preds_.capacity() * sizeof(int) +
+         table_floor_.capacity() * sizeof(double);
 }
 
 size_t DpScratch::Release() {
@@ -90,38 +206,39 @@ size_t DpScratch::Release() {
   // Swap-with-temporary, not `= {}`: braced assignment selects the
   // initializer_list overload, which empties the vector but RETAINS its
   // capacity — the exact opposite of releasing.
+  std::vector<DpSlot>().swap(slots_);
   std::vector<DpFlatEntry>().swap(entries_);
-  std::vector<uint16_t>().swap(counts_);
+  std::vector<uint32_t>().swap(waves_);
+  std::vector<TableSet>().swap(cand_);
   std::vector<int>().swap(preds_);
   std::vector<double>().swap(table_floor_);
-  std::vector<TableSet>().swap(live_);
-  std::vector<TableSet>().swap(cand_);
-  std::vector<uint32_t>().swap(stamp_);
-  epoch_ = 0;
-  stride_ = 0;
+  used_ = 0;
   best_root_order = kUnsorted;
   root_needs_sort = false;
   return bytes;
 }
 
-void DpScratch::RetainBest(TableSet s, OrderId order, double cost,
+void DpScratch::RetainBest(OrderId order, double cost,
                            const DpDecision& decision) {
-  DpFlatEntry* base = Entries(s);
-  uint16_t& count = Count(s);
+  DpSlot& slot = slots_.back();
+  DpFlatEntry* base = entries_.data() + slot.offset;
   // Entries stay sorted by order so iteration matches the legacy std::map
   // walk; nodes hold a handful of orders, so linear scans win.
   size_t pos = 0;
-  while (pos < count && base[pos].order < order) ++pos;
-  if (pos < count && base[pos].order == order) {
+  while (pos < slot.count && base[pos].order < order) ++pos;
+  if (pos < slot.count && base[pos].order == order) {
     if (cost < base[pos].cost) {
       base[pos].cost = cost;
       base[pos].decision = decision;
     }
     return;
   }
-  for (size_t i = count; i > pos; --i) base[i] = base[i - 1];
+  if (slot.count == room_) {
+    throw std::logic_error("DP slot holds more orders than predicates + 1");
+  }
+  for (size_t i = slot.count; i > pos; --i) base[i] = base[i - 1];
   base[pos] = {cost, order, decision};
-  ++count;
+  ++slot.count;
 }
 
 DpScratch& ThreadLocalDpScratch() {
@@ -129,15 +246,39 @@ DpScratch& ThreadLocalDpScratch() {
   return scratch;
 }
 
-size_t ReleaseThreadLocalDpScratch() { return ThreadLocalDpScratch().Release(); }
+size_t ReleaseThreadLocalDpScratch() {
+  return ThreadLocalDpScratch().Release() +
+         internal::ReleaseThreadLocalAlgorithmDTables();
+}
 
-PlanPtr MaterializeDpPlan(const DpContext& ctx, DpScratch* scratch) {
-  // SubsetPages of a singleton is 1.0 * TablePages — bitwise identical to
-  // the leaf page count, so one lookup covers leaves and joins alike.
-  PlanPtr plan = ReplayDpDecisions(
-      ctx, scratch, ctx.query().AllTables(), scratch->best_root_order,
-      [&ctx](TableSet s) { return ctx.SubsetPages(s); });
-  if (scratch->root_needs_sort) {
+PlanPtr ReplayDpDecisions(const DpContext& ctx, const DpScratch& scratch,
+                          TableSet s, OrderId order) {
+  const DpSlot* slot = scratch.Find(s);
+  const DpFlatEntry* entry = nullptr;
+  for (uint32_t i = 0; slot != nullptr && i < slot->count; ++i) {
+    if (scratch.Entries(*slot)[i].order == order) {
+      entry = &scratch.Entries(*slot)[i];
+      break;
+    }
+  }
+  if (entry == nullptr) {
+    throw std::logic_error("DP decision table missing a recorded entry");
+  }
+  const DpDecision& d = entry->decision;
+  if (d.j < 0) return MakeAccess(*MemberRange(s).begin(), slot->pages);
+  QueryPos j = d.j;
+  TableSet sj = s & ~(TableSet{1} << j);
+  PlanPtr left = ReplayDpDecisions(ctx, scratch, sj, d.left_order);
+  PlanPtr right = MakeAccess(j, scratch.Find(TableSet{1} << j)->pages);
+  if (d.inner_sorted) right = MakeSort(right, d.key);
+  return MakeJoin(std::move(left), std::move(right), d.method,
+                  ctx.ConnectingPredicates(sj, j), order, slot->pages);
+}
+
+PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch) {
+  PlanPtr plan = ReplayDpDecisions(ctx, scratch, ctx.query().AllTables(),
+                                   scratch.best_root_order);
+  if (scratch.root_needs_sort) {
     plan = MakeSort(plan, *ctx.query().required_order());
   }
   return plan;

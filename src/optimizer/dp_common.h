@@ -185,7 +185,9 @@ using JoinCostFn = std::function<double(
 /// Cost of sorting `pages` in phase `phase_idx` (enforcers + final ORDER BY).
 using SortCostFn = std::function<double(double pages, int phase_idx)>;
 
-/// Precomputed per-query quantities shared by the DP algorithms.
+/// Per-query quantities shared by the DP algorithms. Nothing here is
+/// sized 2^n: subset page counts are computed on demand and the minimum
+/// over all subsets is computed once, on first use.
 class DpContext {
  public:
   DpContext(const Query& query, const Catalog& catalog,
@@ -202,13 +204,18 @@ class DpContext {
 
   /// Mean page count of ⋈_{i ∈ S} A_i (product of table sizes and internal
   /// predicate mean selectivities — independent of join order, the
-  /// dynamic-programming property of §2.2 observation 3).
-  double SubsetPages(TableSet s) const { return subset_pages_[s]; }
+  /// dynamic-programming property of §2.2 observation 3). Computed on
+  /// demand in O(n + P): table sizes with members ascending, then
+  /// selectivities with predicates ascending. That multiplication order is
+  /// part of the contract — every caller sees the same bits for a subset.
+  double SubsetPages(TableSet s) const;
 
   /// min over nonempty subsets S of SubsetPages(S) — the smallest outer
   /// any join step can ever see, anchoring the branch-and-bound
-  /// RemStepFloor bounds (see RunDpInto).
-  double MinSubsetPages() const { return min_subset_pages_; }
+  /// RemStepFloor bounds (see RunDpInto). Exact (bit-identical to taking
+  /// SubsetPages over all 2^n - 1 subsets), computed on first call and
+  /// memoized; a DpContext is therefore not shareable across threads.
+  double MinSubsetPages() const;
 
   /// True if a join step extending `subset` with `j` would be a cross
   /// product that the options forbid.
@@ -226,14 +233,19 @@ class DpContext {
   }
 
  private:
+  double ComputeMinSubsetPages() const;
+
   const Query* query_;
   const Catalog* catalog_;
   /// Held by value (it is small) so a DpContext outlives any temporary it
   /// was constructed from.
   OptimizerOptions options_;
   std::vector<double> table_pages_;
-  std::vector<double> subset_pages_;
-  double min_subset_pages_ = 0;
+  /// Per predicate: its endpoints as a TableSet, and its mean selectivity.
+  std::vector<TableSet> pred_tables_;
+  std::vector<double> pred_selectivity_;
+  mutable double min_subset_pages_ = 0;
+  mutable bool min_subset_pages_ready_ = false;
   bool query_connected_ = true;
 };
 
@@ -299,18 +311,20 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 // ---------------------------------------------------------------------------
 // Allocation-free DP core.
 //
-// The legacy RunDp below (kept as RunDpLegacy, the I7 parity reference)
-// spends its time in the allocator: a std::map node per retained entry, a
-// keys/inners vector and a MakeJoin plan tree per *candidate*, a Members /
-// ConnectingPredicates vector per subset visit. The rewritten core
-// separates concerns:
+// The legacy RunDp below (kept as RunDpLegacy, a test-only parity
+// reference for fuzz invariant I7) spends its time in the allocator and
+// in 2^n tables: a std::map per subset, a keys/inners vector and a
+// MakeJoin plan tree per *candidate*. The core separates concerns:
 //
-//   * RunDpInto computes the objective over flat per-subset entry tables
-//     owned by a reusable DpScratch — no plan construction at all. Each
-//     retained entry records the *decision* (joined relation, method, key,
-//     enforcer) that produced it. After one warm-up call the scratch is
-//     capacity-stable and a full run performs zero heap allocations
-//     (pinned by tests/dist_arena_test.cc with a counting operator new).
+//   * RunDpInto computes the objective over a sparse table owned by a
+//     reusable DpScratch — no plan construction at all. Only LIVE subsets
+//     (those that retained an entry) get a row, so storage scales with the
+//     connected subsets of the join graph, never with 2^n: a 20-table
+//     chain keeps 210 rows. Each retained entry records the *decision*
+//     (joined relation, method, key, enforcer) that produced it. After one
+//     warm-up call the scratch is capacity-stable and a full run performs
+//     zero heap allocations (pinned by tests/dist_arena_test.cc with a
+//     counting operator new).
 //   * MaterializeDpPlan replays the recorded decisions into the same plan
 //     tree the legacy code built candidate by candidate — O(n) shared_ptr
 //     nodes once per optimization, at the result boundary.
@@ -329,29 +343,82 @@ struct DpDecision {
   bool inner_sorted = false;  ///< explicit sort enforcer on the inner
 };
 
-/// One retained (subset, order) entry of the flat DP table.
+/// One retained (subset, order) entry of the DP table.
 struct DpFlatEntry {
   double cost = 0;
   OrderId order = kUnsorted;
   DpDecision decision;
 };
 
-/// Reusable storage for RunDpInto: flat per-subset entry tables (stride =
-/// num_predicates + 1, the most orders a node can retain) plus the scratch
-/// buffers the inner loop needs. Prepare() only grows, so a warmed scratch
-/// never re-allocates. Single-threaded, like the DP itself.
+/// One live subset's row of the DP table: its entries are
+/// entries[offset, offset + count), sorted by order.
+struct DpSlot {
+  TableSet subset = 0;
+  uint32_t offset = 0;
+  uint32_t count = 0;
+  /// Page estimate the plan annotations and the DP's left inputs use:
+  /// DpContext::SubsetPages for RunDpInto, the size-distribution mean for
+  /// Algorithm D. Cached when the slot closes.
+  double pages = 0;
+};
+
+/// Reusable storage for RunDpInto (and Algorithm D's kernel path): a
+/// sparse DP table with one slot per live subset.
+///
+/// Slots are appended in waves of equal subset size, ascending within
+/// each wave, and all slots share one entry vector. A wave is built one
+/// slot at a time: OpenSlot(s) appends s with room for num_predicates + 1
+/// entries (a subset holds at most one entry per distinct order: unsorted
+/// or one of its internal predicates), RetainBest fills it, and CloseSlot
+/// trims the room to the entries actually kept — or pops the slot when
+/// it kept none, so only live subsets stay. Lookups binary-search the
+/// subset's wave; singletons (always live) sit at slot p directly.
+///
+/// Every vector keeps its capacity across runs, so a warmed scratch never
+/// re-allocates on a same-shape query, and what it retains is bounded by
+/// the largest query's live subsets. Single-threaded, like the DP itself.
 class DpScratch {
  public:
-  /// Sizes the tables for a query; reuses capacity when possible.
+  /// Empties the table for a query with `num_tables` relations; reuses
+  /// capacity.
   void Prepare(int num_tables, int num_predicates);
 
-  DpFlatEntry* Entries(TableSet s) { return entries_.data() + s * stride_; }
-  uint16_t& Count(TableSet s) { return counts_[s]; }
+  /// Starts the next wave: returns the subsets one table larger than a
+  /// slot of the last wave, deduplicated and ascending. The caller opens a
+  /// slot for each (in order) and closes it before opening the next.
+  const std::vector<TableSet>& NextWave();
 
-  /// Retains (order, cost, decision) if it beats the current entry for
-  /// `order` (strict <, first-seen wins ties — RetainBest's contract).
-  void RetainBest(TableSet s, OrderId order, double cost,
-                  const DpDecision& decision);
+  /// Appends `s` as the open slot. `s` must sort after every slot of the
+  /// current wave.
+  void OpenSlot(TableSet s);
+
+  /// Retains (order, cost, decision) in the open slot if it beats the
+  /// current entry for `order` (strict <, first-seen wins ties —
+  /// RetainBest's contract).
+  void RetainBest(OrderId order, double cost, const DpDecision& decision);
+
+  /// Closes the open slot. A slot that retained an entry caches
+  /// `pages()` and stays; an empty one is popped (pages() is not called).
+  template <typename PagesFn>
+  void CloseSlot(const PagesFn& pages) {
+    DpSlot& slot = slots_.back();
+    if (slot.count == 0) {
+      slots_.pop_back();
+      return;
+    }
+    slot.pages = pages();
+    used_ = slot.offset + slot.count;
+  }
+
+  /// The slot of live subset `s`, or nullptr if `s` retained nothing (or
+  /// its wave has not been built yet).
+  const DpSlot* Find(TableSet s) const;
+
+  /// The sorted entries of `slot`. Pointers stay valid until the next
+  /// OpenSlot.
+  const DpFlatEntry* Entries(const DpSlot& slot) const {
+    return entries_.data() + slot.offset;
+  }
 
   /// Scratch for ConnectingPredicatesInto.
   std::vector<int>& preds() { return preds_; }
@@ -360,27 +427,6 @@ class DpScratch {
   /// filled by RunDpInto when pruning engages, capacity reserved by
   /// Prepare so the warmed hot path stays allocation-free.
   std::vector<double>& table_floor() { return table_floor_; }
-
-  /// Staging for RunDpInto's live-subset wave enumeration: `live_subsets`
-  /// accumulates every subset that retained at least one entry (ascending
-  /// within each size wave), `candidate_subsets` is the per-wave target
-  /// list. Capacity reserved by Prepare (warm path stays allocation-free).
-  std::vector<TableSet>& live_subsets() { return live_; }
-  std::vector<TableSet>& candidate_subsets() { return cand_; }
-
-  /// Epoch-stamped dedupe for candidate generation: true the first time
-  /// `s` is marked since BeginCandidateEpoch. O(1), no clearing sweep.
-  bool MarkCandidate(TableSet s) {
-    if (stamp_[s] == epoch_) return false;
-    stamp_[s] = epoch_;
-    return true;
-  }
-  void BeginCandidateEpoch() {
-    if (++epoch_ == 0) {  // wrapped: old stamps could alias, sweep once
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      epoch_ = 1;
-    }
-  }
 
   /// Bytes of heap capacity currently retained across all scratch
   /// buffers — the high-water mark the steady state holds onto.
@@ -397,27 +443,35 @@ class DpScratch {
   bool root_needs_sort = false;
 
  private:
+  std::vector<DpSlot> slots_;
   std::vector<DpFlatEntry> entries_;
-  std::vector<uint16_t> counts_;
+  /// Start of each wave in slots_: waves_[k - 1] is the first slot of
+  /// size k.
+  std::vector<uint32_t> waves_;
+  std::vector<TableSet> cand_;
   std::vector<int> preds_;
   std::vector<double> table_floor_;
-  std::vector<TableSet> live_;
-  std::vector<TableSet> cand_;
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
-  size_t stride_ = 0;
+  size_t used_ = 0;  ///< entries held by closed slots
+  size_t room_ = 1;  ///< entries reserved for the open slot
+  int num_tables_ = 0;
 };
 
-/// The per-thread scratch RunDp runs on. Exposed so tests and benches can
-/// warm it explicitly; do not hold references across threads.
+/// The per-thread scratch RunDp and Algorithm D run on. Exposed so tests
+/// and benches can warm it explicitly; do not hold references across
+/// threads.
 DpScratch& ThreadLocalDpScratch();
 
-/// Release() on this thread's scratch: frees the retained DP tables and
-/// returns the bytes given back. Service loops call this when a worker
-/// goes idle after an unusually large query (see tools/lec_serve_main.cc).
+/// Frees this thread's DP memory — the DpScratch above and Algorithm D's
+/// per-subset size tables — and returns the bytes given back. Service
+/// loops call this when a worker goes idle after an unusually large query
+/// (see tools/lec_serve_main.cc).
 size_t ReleaseThreadLocalDpScratch();
 
 namespace internal {
+
+/// Frees this thread's Algorithm D size tables (optimizer/algorithm_d.cc)
+/// and returns the bytes given back; part of ReleaseThreadLocalDpScratch.
+size_t ReleaseThreadLocalAlgorithmDTables();
 
 /// Seeds the branch-and-bound incumbent: one left-deep plan built
 /// greedily — start from the smallest relation, repeatedly append the
@@ -502,45 +556,18 @@ double GreedyIncumbent(const DpContext& ctx, const P& cost,
 }  // namespace internal
 
 /// Replays one subtree of a DpScratch decision table into a plan tree.
-/// `subset_pages(s)` supplies the est_pages annotation for the node
-/// covering subset `s` — the scalar DP feeds DpContext's mean page counts,
-/// Algorithm D its per-subset size-distribution means. This is the ONE
-/// copy of the decision-replay logic; both materializers route through it.
-template <typename SubsetPagesFn>
-PlanPtr ReplayDpDecisions(const DpContext& ctx, DpScratch* scratch,
-                          TableSet s, OrderId order,
-                          const SubsetPagesFn& subset_pages) {
-  DpFlatEntry* base = scratch->Entries(s);
-  uint16_t count = scratch->Count(s);
-  const DpFlatEntry* entry = nullptr;
-  for (uint16_t i = 0; i < count; ++i) {
-    if (base[i].order == order) {
-      entry = &base[i];
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    throw std::logic_error("DP decision table missing a recorded entry");
-  }
-  const DpDecision& d = entry->decision;
-  if (d.j < 0) {
-    QueryPos p = *MemberRange(s).begin();
-    return MakeAccess(p, subset_pages(s));
-  }
-  QueryPos j = d.j;
-  TableSet sj = s & ~(TableSet{1} << j);
-  PlanPtr left = ReplayDpDecisions(ctx, scratch, sj, d.left_order,
-                                   subset_pages);
-  PlanPtr right = MakeAccess(j, subset_pages(TableSet{1} << j));
-  if (d.inner_sorted) right = MakeSort(right, d.key);
-  return MakeJoin(std::move(left), std::move(right), d.method,
-                  ctx.ConnectingPredicates(sj, j), order, subset_pages(s));
-}
+/// Every node's est_pages annotation is the page estimate cached in the
+/// slot of the subset it covers — DpContext's mean page counts for the
+/// scalar DP, per-subset size-distribution means for Algorithm D. This is
+/// the ONE copy of the decision-replay logic; both materializers route
+/// through it.
+PlanPtr ReplayDpDecisions(const DpContext& ctx, const DpScratch& scratch,
+                          TableSet s, OrderId order);
 
 /// Replays the decisions recorded in `scratch` by the immediately
 /// preceding RunDpInto on `ctx` into a plan tree (including the final
 /// ORDER BY enforcer when one was charged).
-PlanPtr MaterializeDpPlan(const DpContext& ctx, DpScratch* scratch);
+PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch);
 
 /// The objective-only DP core: fills `result` (objective, counters; plan
 /// left null) using `scratch` for all mutable state. Steady-state
@@ -568,7 +595,9 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
   // Depth 1: access paths (scan cost = pages, memory-independent).
   for (QueryPos p = 0; p < n; ++p) {
     TableSet s = TableSet{1} << p;
-    scratch->RetainBest(s, kUnsorted, ctx.TablePages(p), DpDecision{});
+    scratch->OpenSlot(s);
+    scratch->RetainBest(kUnsorted, ctx.TablePages(p), DpDecision{});
+    scratch->CloseSlot([&] { return ctx.SubsetPages(s); });
   }
 
   // Cost-bounded pruning (branch-and-bound). Seed an incumbent from a
@@ -614,34 +643,15 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
   // Wave enumeration: instead of scanning all 2^n subsets per size (which
   // dominates sparse join graphs — a chain has O(n^2) connected subsets
   // but the scan still pays n·2^n popcount tests), each wave's candidate
-  // targets are generated from the previous wave's LIVE subsets (those
-  // that retained an entry) extended by one table. The candidates are
-  // deduped and sorted ascending, so the per-size processing order — and
-  // with it every RetainBest call, counter tick and tie-break — is
-  // bit-identical to the full ascending scan: a subset the scan visits
-  // but this enumeration skips has no live child and would have done
-  // nothing.
-  std::vector<TableSet>& live = scratch->live_subsets();
-  std::vector<TableSet>& cand = scratch->candidate_subsets();
-  scratch->BeginCandidateEpoch();
-  live.clear();
-  for (QueryPos p = 0; p < n; ++p) live.push_back(TableSet{1} << p);
-  size_t wave_begin = 0;
-  size_t wave_end = live.size();
+  // targets are the previous wave's live slots extended by one table,
+  // deduplicated and ascending (DpScratch::NextWave). The per-size
+  // processing order — and with it every RetainBest call, counter tick and
+  // tie-break — is therefore bit-identical to the full ascending scan: a
+  // subset the scan visits but this enumeration skips has no live child
+  // and would have done nothing.
   for (int size = 2; size <= n; ++size) {
-    cand.clear();
-    for (size_t wi = wave_begin; wi < wave_end; ++wi) {
-      TableSet base = live[wi];
-      for (QueryPos j = 0; j < n; ++j) {
-        if (base >> j & 1) continue;
-        TableSet s = base | TableSet{1} << j;
-        if (scratch->MarkCandidate(s)) cand.push_back(s);
-      }
-    }
-    std::sort(cand.begin(), cand.end());
-    wave_begin = live.size();
-    for (TableSet s : cand) {
-      int phase_idx = size - 2;
+    int phase_idx = size - 2;
+    for (TableSet s : scratch->NextWave()) {
       // Floor on everything outside s: still-unscanned tables plus their
       // eventual join steps. O(n) per candidate subset.
       double rem_after = 0;
@@ -651,16 +661,18 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
           if (!(s >> t & 1)) rem_after += g[t];
         }
       }
+      scratch->OpenSlot(s);
       for (QueryPos j : MemberRange(s)) {
         TableSet sj = s & ~(TableSet{1} << j);
-        uint16_t left_count = scratch->Count(sj);
-        if (left_count == 0) continue;
+        const DpSlot* left = scratch->Find(sj);
+        if (left == nullptr) continue;
         if (ctx.CrossProductForbidden(sj, j)) continue;
         query.ConnectingPredicatesInto(sj, j, &scratch->preds());
         const std::vector<int>& preds = scratch->preds();
-        double left_pages = ctx.SubsetPages(sj);
+        double left_pages = left->pages;
         double right_pages = ctx.TablePages(j);
-        double right_cost = scratch->Entries(TableSet{1} << j)[0].cost;
+        double right_cost =
+            scratch->Entries(*scratch->Find(TableSet{1} << j))[0].cost;
 
         // Cheapest conceivable step joining j to any left entry — shared
         // by every left expansion of this (s, j) pair.
@@ -675,8 +687,8 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
           }
         }
 
-        const DpFlatEntry* lefts = scratch->Entries(sj);
-        for (uint16_t li = 0; li < left_count; ++li) {
+        const DpFlatEntry* lefts = scratch->Entries(*left);
+        for (uint32_t li = 0; li < left->count; ++li) {
           OrderId left_order = lefts[li].order;
           double left_cost = lefts[li].cost;
           if constexpr (DpPruningProvider<P>) {
@@ -744,36 +756,34 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
                 d.left_order = static_cast<int16_t>(left_order);
                 d.method = method;
                 d.inner_sorted = inner_sorted;
-                scratch->RetainBest(s, out_order, total, d);
+                scratch->RetainBest(out_order, total, d);
               }
             }
           }
         }
       }
-      if (scratch->Count(s) > 0) live.push_back(s);
+      scratch->CloseSlot([&] { return ctx.SubsetPages(s); });
     }
-    wave_end = live.size();
   }
 
   // Root: enforce the query's ORDER BY if present, then take the minimum.
-  TableSet all = query.AllTables();
-  uint16_t root_count = scratch->Count(all);
-  if (root_count == 0) {
+  const DpSlot* root = scratch->Find(query.AllTables());
+  if (root == nullptr) {
     throw std::runtime_error(
         "no plan found (disconnected query with cross products forbidden?)");
   }
-  const DpFlatEntry* roots = scratch->Entries(all);
+  const DpFlatEntry* roots = scratch->Entries(*root);
   double best = std::numeric_limits<double>::infinity();
   int last_phase = std::max(n - 2, 0);
   scratch->best_root_order = kUnsorted;
   scratch->root_needs_sort = false;
-  for (uint16_t ri = 0; ri < root_count; ++ri) {
+  for (uint32_t ri = 0; ri < root->count; ++ri) {
     double total = roots[ri].cost;
     bool needs_sort =
         query.required_order() && roots[ri].order != *query.required_order();
     if (needs_sort) {
       ++result->cost_evaluations;
-      total += cost.SortCost(ctx.SubsetPages(all), last_phase);
+      total += cost.SortCost(root->pages, last_phase);
     }
     if (total < best) {
       best = total;
@@ -790,40 +800,27 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
 /// evaluates expected costs — the paper's point that the extension is "a
 /// relatively small and localized change" (§3.3).
 /// Runs on the thread-local scratch (objective core + one plan
-/// materialization); bit-identical to RunDpLegacy in objective, counters
-/// and plan.
+/// materialization) for every query DpContext accepts (n ≤ 20); there is
+/// no size threshold and no second path. Bit-identical to RunDpLegacy in
+/// objective, counters and plan.
 /// Note on timing: RunDp does not stamp elapsed_seconds — the public
 /// Optimize* entry points own that field (their span includes context
 /// construction and any per-phase precomputation). Direct RunDp callers
 /// that want a time wrap the call in a WallTimer themselves.
 template <DpCostProvider P>
-OptimizeResult RunDpLegacy(const DpContext& ctx, const P& cost);
-
-/// Above this many flat-table entries (~200 MB at 24 B each) RunDp routes
-/// to the sparse legacy DP instead of allocating a dense slab: a 2^n ×
-/// (P+1) table is the right trade for every realistic query (n ≤ 16ish),
-/// but an n=20 clique would want gigabytes where the map-based DP touches
-/// only the handful of retained entries. Results are bit-identical either
-/// way (I7), so this is purely a memory valve.
-inline constexpr size_t kMaxFlatDpEntries = size_t{1} << 23;
-
-template <DpCostProvider P>
 OptimizeResult RunDp(const DpContext& ctx, const P& cost) {
-  size_t flat_entries =
-      (size_t{1} << ctx.num_tables()) *
-      (static_cast<size_t>(ctx.query().num_predicates()) + 1);
-  if (flat_entries > kMaxFlatDpEntries) return RunDpLegacy(ctx, cost);
   OptimizeResult result;
   DpScratch* scratch = &ThreadLocalDpScratch();
   RunDpInto(ctx, cost, scratch, &result);
-  result.plan = MaterializeDpPlan(ctx, scratch);
+  result.plan = MaterializeDpPlan(ctx, *scratch);
   return result;
 }
 
-/// The pre-arena implementation, preserved verbatim: one std::map node per
-/// retained entry, a plan tree per candidate. It is the parity reference
-/// for fuzz invariant I7 and the baseline bench_dist_kernels (E18) and
-/// bench_opt_scaling measure RunDp against — do not call on hot paths.
+/// The pre-arena implementation, preserved verbatim: a 2^n table of
+/// std::maps, a plan tree per candidate. No optimizer calls it; it remains
+/// only as the parity reference for fuzz invariant I7 and the tests, and
+/// the baseline bench_dist_kernels (E18) and bench_opt_scaling measure
+/// RunDp against.
 template <DpCostProvider P>
 OptimizeResult RunDpLegacy(const DpContext& ctx, const P& cost) {
   const Query& query = ctx.query();

@@ -26,7 +26,7 @@
 //      documented reassociation tolerance for A/B), and facade dispatch
 //      matches the direct entry point.
 //   I7 kernel parity      — objectives computed via the arena/SoA kernel
-//      path (dist/kernel.h: flat-table RunDp, Algorithm D's view pipeline,
+//      path (dist/kernel.h: sparse-table RunDp, Algorithm D's view pipeline,
 //      the threshold-swept fast-EC) must match the legacy
 //      Distribution-returning path (RunDpLegacy, use_dist_kernels=false,
 //      legacy::FastExpectedJoinCost) within kKernelParityRelTol, and the

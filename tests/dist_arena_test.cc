@@ -210,6 +210,31 @@ TEST(DpAllocationTest, WarmRunDpIntoAllocatesNothing) {
       << "a 10-table chain should give the bound something to cut";
 }
 
+TEST(DpAllocationTest, WarmTwentyTableChainAllocatesNothing) {
+  // n = 20 used to exceed the dense table's size limit and fall back to the
+  // map-based DP; the sparse table serves it on the same zero-allocation
+  // contract as every smaller query.
+  Workload w = ChainWorkload(20);
+  CostModel model;
+  Distribution memory = UniformBuckets(50, 5000, 27);
+  OptimizerOptions opts;
+  DpContext ctx(w.query, w.catalog, opts);
+  LecStaticCostProvider lec{model, memory};
+
+  DpScratch scratch;
+  OptimizeResult result;
+  RunDpInto(ctx, lec, &scratch, &result);  // warm-up sizes the scratch
+  double warm_objective = result.objective;
+
+  size_t before = g_news.load();
+  for (int round = 0; round < 3; ++round) {
+    RunDpInto(ctx, lec, &scratch, &result);
+  }
+  EXPECT_EQ(g_news.load() - before, 0u)
+      << "the warmed n = 20 DP core must not touch the heap";
+  EXPECT_EQ(result.objective, warm_objective);
+}
+
 TEST(DpAllocationTest, WarmPredicateLookupsIntoAllocateNothing) {
   // The *Into predicate lookups share the DP core's contract: after one
   // warming pass sizes the scratch vector, repeat calls never touch the

@@ -726,10 +726,10 @@ int Run(std::istream& in, const Flags& flags) {
         std::printf("invalidated (%zu stale entries swept)\n",
                     before - server.cache().size());
       } else if (word == "trim") {
-        // The DP scratch is sized by the largest query a thread has seen
-        // (optimizer/dp_common.h); this releases the REPL thread's scratch
-        // (pipeline workers under --listen keep theirs until shutdown).
-        // The next optimize re-warms.
+        // The DP scratch and Algorithm D's size tables are sized by the
+        // largest query a thread has seen (optimizer/dp_common.h); this
+        // releases the REPL thread's (pipeline workers under --listen keep
+        // theirs until shutdown). The next optimize re-warms.
         std::printf("trimmed %zu bytes of DP scratch\n",
                     lec::ReleaseThreadLocalDpScratch());
       } else if (word == "quit") {
