@@ -12,6 +12,7 @@
 #include "cost/cost_model.h"
 #include "cost/expected_cost.h"
 #include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "optimizer/algorithm_c.h"
 #include "storage/buffer_pool.h"
 #include "storage/external_sort.h"
@@ -53,7 +54,9 @@ int main() {
                               {0}, m == JoinMethod::kSortMerge ? 0 : kUnsorted,
                               8);
       double analytic = model.JoinCost(m, 1000, 400, memory);
-      EngineRunResult run = ExecutePlanOnEngine(plan, q, data, {memory});
+      ExecutePlanOptions options;
+      options.memory_by_phase = {memory};
+      ExecutionResult run = ExecutePlan(plan, q, data, options);
       std::printf(" %10.0f %10llu", analytic,
                   static_cast<unsigned long long>(run.total_io()));
     }
@@ -98,10 +101,11 @@ int main() {
   EngineWorkload data2 = BuildChainEngineWorkload(q2, cat2, &rng2);
   auto measure = [&](const PlanPtr& plan) {
     double total = 0;
+    ExecutePlanOptions options;
     for (const Bucket& m : memory.buckets()) {
+      options.memory_by_phase = {m.value};
       total += m.prob * static_cast<double>(
-                            ExecutePlanOnEngine(plan, q2, data2, {m.value})
-                                .total_io());
+                            ExecutePlan(plan, q2, data2, options).total_io());
     }
     return total;
   };

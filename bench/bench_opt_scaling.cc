@@ -13,13 +13,11 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "cost/cost_policies.h"
 #include "dist/builders.h"
 #include "optimizer/algorithm_a.h"
 #include "optimizer/algorithm_c.h"
 #include "optimizer/system_r.h"
 #include "query/generator.h"
-#include "util/wall_timer.h"
 
 using namespace lec;
 
@@ -43,28 +41,6 @@ void BM_SystemR(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SystemR)->DenseRange(3, 9, 2);
-
-// The same DP through the legacy type-erased std::function adapter —
-// the baseline the templated provider path must beat (or at least match).
-void BM_SystemRTypeErased(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Workload w = MakeWorkload(n);
-  CostModel model;
-  OptimizerOptions opts;
-  const double memory = 800;
-  for (auto _ : state) {
-    DpContext ctx(w.query, w.catalog, opts);
-    JoinCostFn join = [&model, memory](JoinMethod m, double l, double r,
-                                       bool ls, bool rs, int) {
-      return model.JoinCost(m, l, r, memory, ls, rs);
-    };
-    SortCostFn sort = [&model, memory](double pages, int) {
-      return model.SortCost(pages, memory);
-    };
-    benchmark::DoNotOptimize(RunDp(ctx, join, sort));
-  }
-}
-BENCHMARK(BM_SystemRTypeErased)->DenseRange(3, 9, 2);
 
 void BM_AlgorithmC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -122,60 +98,10 @@ void PrintStructuralTable() {
       " C\ncosts b times one System R invocation in formula evaluations.\n");
 }
 
-// PR 4's end-to-end claim: the flat decision-table RunDp (zero
-// steady-state allocations, SoA memory sweeps) vs the legacy map-based DP
-// at n = 10, both regimes. The detailed kernel-level breakdown and the
-// gated budget metrics live in bench_dist_kernels (E18); this table keeps
-// the end-to-end number next to the scaling curves it accelerates.
-void PrintDpRewriteTable() {
-  bench::Header("E3b", "RunDp rewrite vs legacy DP at n=10 (wall time)");
-  std::printf("%-8s %-12s %14s %14s %10s\n", "shape", "regime", "legacy us",
-              "new us", "speedup");
-  bench::Rule();
-  CostModel model;
-  Distribution memory = UniformBuckets(50, 5000, 27);
-  const struct {
-    JoinGraphShape shape;
-    const char* name;
-  } kShapes[] = {{JoinGraphShape::kChain, "chain"},
-                 {JoinGraphShape::kClique, "clique"}};
-  for (const auto& sh : kShapes) {
-    Rng rng(1013);
-    WorkloadOptions wopts;
-    wopts.num_tables = 10;
-    wopts.shape = sh.shape;
-    wopts.order_by_probability = 1.0;
-    Workload w = GenerateWorkload(wopts, &rng);
-    OptimizerOptions opts;
-    DpContext ctx(w.query, w.catalog, opts);
-    LscCostProvider lsc{model, 800};
-    LecStaticCostProvider lec{model, memory};
-    auto time_us = [&](auto&& fn) {
-      fn();  // warm-up (sizes the DP scratch)
-      int iters = sh.shape == JoinGraphShape::kClique ? 20 : 100;
-      WallTimer timer;
-      for (int i = 0; i < iters; ++i) fn();
-      return timer.Seconds() * 1e6 / iters;
-    };
-    double lsc_legacy = time_us([&] { RunDpLegacy(ctx, lsc); });
-    double lsc_new = time_us([&] { RunDp(ctx, lsc); });
-    double lec_legacy = time_us([&] { RunDpLegacy(ctx, lec); });
-    double lec_new = time_us([&] { RunDp(ctx, lec); });
-    std::printf("%-8s %-12s %14.1f %14.1f %9.2fx\n", sh.name, "lsc",
-                lsc_legacy, lsc_new, lsc_legacy / lsc_new);
-    std::printf("%-8s %-12s %14.1f %14.1f %9.2fx\n", sh.name, "lec_static",
-                lec_legacy, lec_new, lec_legacy / lec_new);
-  }
-  std::printf("\nExpectation: >= 1.5x end-to-end at n=10 (the PR 4 "
-              "acceptance bar;\ngated in bench_dist_kernels via "
-              "bench/budgets.json).\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   PrintStructuralTable();
-  PrintDpRewriteTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,24 +1,18 @@
-// E16 — Service-layer batch throughput and static-dispatch DP overhead.
+// E16 — Service-layer batch throughput.
 //
-// Part 1 drives the src/service/ batch driver over a seeded query corpus
-// with 1/2/4/8 worker threads and two strategies (Algorithm C with fixed
-// sizes; Algorithm D with per-worker EC caches), reporting queries/sec and
+// Drives the src/service/ batch driver over a seeded query corpus with
+// 1/2/4/8 worker threads and two strategies (Algorithm C with fixed sizes;
+// Algorithm D with per-worker EC caches), reporting queries/sec and
 // cost-evaluations/sec. The objective checksum is printed per run — it must
 // be identical across thread counts (the driver's determinism contract).
-//
-// Part 2 measures what the templated RunDp core buys over the legacy
-// type-erased std::function path: the same LSC optimization executed via a
-// concrete cost provider vs. via the ErasedCostProvider adapter.
 #include <cstdio>
 #include <thread>
 
 #include "bench_util.h"
 #include "dist/builders.h"
-#include "optimizer/cost_providers.h"
 #include "optimizer/optimizer.h"
 #include "query/generator.h"
 #include "service/batch_driver.h"
-#include "util/wall_timer.h"
 
 using namespace lec;
 
@@ -92,62 +86,6 @@ void RunThroughput(const std::vector<Workload>& corpus,
               checksum);
 }
 
-void RunDispatchComparison(const std::vector<Workload>& corpus,
-                           const CostModel& model) {
-  bench::Header("E16b",
-                "RunDp static dispatch vs type-erased std::function path");
-  const double kMemory = 800;
-  const int kReps = 5;
-  // Warm up and verify both paths agree on every query.
-  for (const Workload& w : corpus) {
-    DpContext ctx(w.query, w.catalog, OptimizerOptions{});
-    OptimizeResult a = RunDp(ctx, LscCostProvider{model, kMemory});
-    JoinCostFn join = [&model, kMemory](JoinMethod m, double l, double r, bool ls,
-                               bool rs, int) {
-      return model.JoinCost(m, l, r, kMemory, ls, rs);
-    };
-    SortCostFn sort = [&model, kMemory](double pages, int) {
-      return model.SortCost(pages, kMemory);
-    };
-    OptimizeResult b = RunDp(ctx, join, sort);
-    if (a.objective != b.objective) {
-      std::printf("!! dispatch paths disagree on objective\n");
-      return;
-    }
-  }
-  WallTimer static_timer;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const Workload& w : corpus) {
-      DpContext ctx(w.query, w.catalog, OptimizerOptions{});
-      OptimizeResult r = RunDp(ctx, LscCostProvider{model, kMemory});
-      (void)r;
-    }
-  }
-  double static_secs = static_timer.Seconds();
-  WallTimer erased_timer;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const Workload& w : corpus) {
-      DpContext ctx(w.query, w.catalog, OptimizerOptions{});
-      JoinCostFn join = [&model, kMemory](JoinMethod m, double l, double r, bool ls,
-                                 bool rs, int) {
-        return model.JoinCost(m, l, r, kMemory, ls, rs);
-      };
-      SortCostFn sort = [&model, kMemory](double pages, int) {
-        return model.SortCost(pages, kMemory);
-      };
-      OptimizeResult r = RunDp(ctx, join, sort);
-      (void)r;
-    }
-  }
-  double erased_secs = erased_timer.Seconds();
-  std::printf("%-28s %10.4f s\n", "static provider (templated)",
-              static_secs);
-  std::printf("%-28s %10.4f s\n", "std::function adapter", erased_secs);
-  std::printf("erased/static ratio: %.3f (>= ~1.0 expected; the template"
-              " must not be slower)\n",
-              static_secs > 0 ? erased_secs / static_secs : 0.0);
-}
-
 }  // namespace
 
 int main() {
@@ -176,7 +114,5 @@ int main() {
   std::vector<Workload> heavy = MakeCorpus(64, 5, 3);
   RunThroughput(heavy, memory, model, StrategyId::kAlgorithmD,
                 /*use_ec_cache=*/true);
-
-  RunDispatchComparison(MakeCorpus(96, 5, 3), model);
   return 0;
 }

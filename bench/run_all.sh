@@ -102,7 +102,7 @@ done
 
 # ---- perf-budget gate (bench/budgets.json) --------------------------------
 # Bench binaries emit machine-readable "BUDGET <metric> <value>" lines —
-# kernel/legacy ratios and steady-state allocation counts, chosen to be
+# timing ratios, work counters and steady-state allocation counts, chosen to be
 # stable across hardware (raw ns/op is informational only). The metrics are
 # recorded into the JSON and compared against the blessed values in
 # bench/budgets.json: a metric observed above blessed * 1.25 (a >25%

@@ -8,10 +8,10 @@ namespace lec {
 
 // ---------------------------------------------------------------------------
 // Kernel implementation: SoA sweeps against a precompiled memory profile.
-// Every accumulation below mirrors the legacy cursor code arithmetic step
-// for arithmetic step, so the two paths produce identical doubles; the only
-// structural change is that the per-element sqrt/cbrt calls are replaced by
-// compares against the profile's exact step thresholds.
+// Each sweep is the §3.6 conditioning argument: sweep the conditioning
+// variable ascending with prefix partial expectations; the per-element
+// sqrt/cbrt of the pass-count weights are replaced by compares against the
+// profile's exact step thresholds.
 // ---------------------------------------------------------------------------
 
 EcMemoryProfile BuildEcMemoryProfile(DistView memory, DistArena* arena) {
@@ -321,222 +321,5 @@ double EcJoinCostRemFloorFixedSizeView(const CostModel& model,
   }
   throw std::logic_error("unknown join method");
 }
-
-// ---------------------------------------------------------------------------
-// Legacy cursor implementation — kept verbatim as the I7 parity reference
-// and the bench_dist_kernels (E18) baseline. Do not call on hot paths.
-// ---------------------------------------------------------------------------
-
-namespace legacy {
-
-namespace {
-
-/// Sweeping cursor over a distribution's CDF: Advance(x) returns
-/// Pr(X <= x) (or Pr(X < x) with strict=true) and may only be called with
-/// non-decreasing x, so a full sweep is O(buckets) total.
-class CdfCursor {
- public:
-  explicit CdfCursor(const Distribution& d, bool strict = false)
-      : d_(d), strict_(strict) {}
-
-  double Advance(double x) {
-    const auto& b = d_.buckets();
-    while (i_ < b.size() &&
-           (strict_ ? b[i_].value < x : b[i_].value <= x)) {
-      acc_ += b[i_].prob;
-      ++i_;
-    }
-    return acc_;
-  }
-
- private:
-  const Distribution& d_;
-  bool strict_;
-  size_t i_ = 0;
-  double acc_ = 0;
-};
-
-/// Like CdfCursor but also accumulates the partial expectation
-/// Σ_{v <= x} v·Pr(X = v).
-class PrefixCursor {
- public:
-  explicit PrefixCursor(const Distribution& d, bool strict = false)
-      : d_(d), strict_(strict) {}
-
-  void Advance(double x) {
-    const auto& b = d_.buckets();
-    while (i_ < b.size() &&
-           (strict_ ? b[i_].value < x : b[i_].value <= x)) {
-      prob_ += b[i_].prob;
-      pe_ += b[i_].value * b[i_].prob;
-      ++i_;
-    }
-  }
-
-  double prob() const { return prob_; }
-  double partial_expectation() const { return pe_; }
-
- private:
-  const Distribution& d_;
-  bool strict_;
-  size_t i_ = 0;
-  double prob_ = 0;
-  double pe_ = 0;
-};
-
-/// Total probability and expectation, for turning prefixes into suffixes.
-struct Totals {
-  double prob = 1.0;
-  double expectation;
-  explicit Totals(const Distribution& d) : expectation(d.Mean()) {}
-};
-
-/// The sort-merge / Grace-hash pass-count weight, evaluated by two
-/// monotone cursors computing √x and ∛x per swept element.
-class PassWeight {
- public:
-  explicit PassWeight(const Distribution& memory)
-      : sqrt_cursor_(memory), cbrt_cursor_(memory) {}
-
-  double Advance(double x) {
-    double p_leq_sqrt = sqrt_cursor_.Advance(std::sqrt(x));
-    double p_leq_cbrt = cbrt_cursor_.Advance(std::cbrt(x));
-    return 2.0 * (1.0 - p_leq_sqrt) + 4.0 * (p_leq_sqrt - p_leq_cbrt) +
-           6.0 * p_leq_cbrt;
-  }
-
- private:
-  CdfCursor sqrt_cursor_;
-  CdfCursor cbrt_cursor_;
-};
-
-}  // namespace
-
-double FastExpectedSortMergeCost(const Distribution& left,
-                                 const Distribution& right,
-                                 const Distribution& memory) {
-  const Distribution& a_dist = left;
-  const Distribution& b_dist = right;
-  double ec = 0;
-
-  // Branch |A| <= |B| (larger = b): sweep b ascending.
-  {
-    PassWeight g(memory);
-    PrefixCursor a_prefix(a_dist);  // Pr(A <= b), PE(A <= b)
-    for (const Bucket& b : b_dist.buckets()) {
-      a_prefix.Advance(b.value);
-      double weight = g.Advance(b.value);
-      ec += b.prob * weight *
-            (a_prefix.partial_expectation() + b.value * a_prefix.prob());
-    }
-  }
-  // Branch |A| > |B| (larger = a): sweep a ascending, strict prefix over B.
-  {
-    PassWeight g(memory);
-    PrefixCursor b_prefix(b_dist, /*strict=*/true);  // Pr(B < a), PE(B < a)
-    for (const Bucket& a : a_dist.buckets()) {
-      b_prefix.Advance(a.value);
-      double weight = g.Advance(a.value);
-      ec += a.prob * weight *
-            (a.value * b_prefix.prob() + b_prefix.partial_expectation());
-    }
-  }
-  return ec;
-}
-
-double FastExpectedGraceHashCost(const Distribution& left,
-                                 const Distribution& right,
-                                 const Distribution& memory) {
-  const Distribution& a_dist = left;
-  const Distribution& b_dist = right;
-  double ec = 0;
-  Totals b_tot(b_dist), a_tot(a_dist);
-
-  // Branch |A| <= |B| (smaller = a): sweep a; need suffix stats of B.
-  {
-    PassWeight h(memory);
-    PrefixCursor b_prefix(b_dist, /*strict=*/true);  // Pr(B < a), PE(B < a)
-    for (const Bucket& a : a_dist.buckets()) {
-      b_prefix.Advance(a.value);
-      double pr_b_geq = b_tot.prob - b_prefix.prob();
-      double pe_b_geq = b_tot.expectation - b_prefix.partial_expectation();
-      double weight = h.Advance(a.value);
-      ec += a.prob * weight * (a.value * pr_b_geq + pe_b_geq);
-    }
-  }
-  // Branch |A| > |B| (smaller = b): sweep b; need strict suffix of A.
-  {
-    PassWeight h(memory);
-    PrefixCursor a_prefix(a_dist);  // Pr(A <= b), PE(A <= b)
-    for (const Bucket& b : b_dist.buckets()) {
-      a_prefix.Advance(b.value);
-      double pr_a_gt = a_tot.prob - a_prefix.prob();
-      double pe_a_gt = a_tot.expectation - a_prefix.partial_expectation();
-      double weight = h.Advance(b.value);
-      ec += b.prob * weight * (pe_a_gt + b.value * pr_a_gt);
-    }
-  }
-  return ec;
-}
-
-double FastExpectedNestedLoopCost(const Distribution& left,
-                                  const Distribution& right,
-                                  const Distribution& memory) {
-  const Distribution& a_dist = left;
-  const Distribution& b_dist = right;
-  double ec = 0;
-  Totals b_tot(b_dist), a_tot(a_dist);
-
-  // Branch |A| <= |B| (S = a): sweep a ascending.
-  {
-    CdfCursor m_lt(memory, /*strict=*/true);         // Pr(M < a + 2)
-    PrefixCursor b_prefix(b_dist, /*strict=*/true);  // prefix B < a
-    for (const Bucket& a : a_dist.buckets()) {
-      b_prefix.Advance(a.value);
-      double pr_b_geq = b_tot.prob - b_prefix.prob();
-      double pe_b_geq = b_tot.expectation - b_prefix.partial_expectation();
-      double p_small = m_lt.Advance(a.value + 2.0);  // M < S + 2
-      double p_big = 1.0 - p_small;                  // M >= S + 2
-      // M >= S+2: cost a + b;  M < S+2: cost a + a·b.
-      ec += a.prob * (p_big * (a.value * pr_b_geq + pe_b_geq) +
-                      p_small * (a.value * pr_b_geq + a.value * pe_b_geq));
-    }
-  }
-  // Branch |A| > |B| (S = b): sweep b ascending.
-  {
-    CdfCursor m_lt(memory, /*strict=*/true);  // Pr(M < b + 2)
-    PrefixCursor a_prefix(a_dist);            // prefix A <= b
-    for (const Bucket& b : b_dist.buckets()) {
-      a_prefix.Advance(b.value);
-      double pr_a_gt = a_tot.prob - a_prefix.prob();
-      double pe_a_gt = a_tot.expectation - a_prefix.partial_expectation();
-      double p_small = m_lt.Advance(b.value + 2.0);
-      double p_big = 1.0 - p_small;
-      ec += b.prob * (p_big * (pe_a_gt + b.value * pr_a_gt) +
-                      p_small * (pe_a_gt + pe_a_gt * b.value));
-    }
-  }
-  return ec;
-}
-
-double FastExpectedJoinCost(JoinMethod method, const Distribution& left,
-                            const Distribution& right,
-                            const Distribution& memory) {
-  switch (method) {
-    case JoinMethod::kSortMerge:
-      return legacy::FastExpectedSortMergeCost(left, right, memory);
-    case JoinMethod::kNestedLoop:
-      return legacy::FastExpectedNestedLoopCost(left, right, memory);
-    case JoinMethod::kGraceHash:
-      return legacy::FastExpectedGraceHashCost(left, right, memory);
-    case JoinMethod::kHybridHash:
-      throw std::invalid_argument(
-          "no fast path for hybrid hash (cost is piecewise-linear, not a "
-          "step function); use ExpectedJoinCost");
-  }
-  throw std::logic_error("unknown join method");
-}
-
-}  // namespace legacy
 
 }  // namespace lec

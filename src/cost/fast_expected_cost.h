@@ -8,22 +8,19 @@
 // suffix partial expectations plus two-pointer scans over M's CDF (the
 // thresholds √b, ∛b, b+2 are monotone in b, so each pointer only advances).
 //
-// Two implementations are provided:
-//
-//   * The primary entry points run the flat SoA kernels of dist/kernel.h:
-//     the memory distribution is precompiled once into an EcMemoryProfile
-//     whose *exact step thresholds* replace the per-swept-element sqrt/cbrt
-//     calls (x >= threshold_i classifies identically to m_i <= fl(f(x)) by
-//     construction — see StepThreshold), so the per-candidate sweep is
-//     branchy compares and multiply-adds only. Algorithm D builds the
-//     profile once per optimization and amortizes it over every candidate.
-//   * namespace legacy keeps the original Distribution-cursor
-//     implementation verbatim. It is the parity reference: fuzz invariant
-//     I7 (verify/fuzz_driver.h) and bench_dist_kernels (E18) hold the two
-//     paths together; it is not called on any hot path.
+// The entry points run the flat SoA kernels of dist/kernel.h: the memory
+// distribution is precompiled once into an EcMemoryProfile whose *exact
+// step thresholds* replace the per-swept-element sqrt/cbrt calls (x >=
+// threshold_i classifies identically to m_i <= fl(f(x)) by construction —
+// see StepThreshold), so the per-candidate sweep is branchy compares and
+// multiply-adds only. Algorithm D builds the profile once per optimization
+// and amortizes it over every candidate.
 //
 // These functions evaluate the *paper* formulas (default CostModelOptions,
-// unsorted inputs); tests verify exact agreement with ExpectedJoinCost.
+// unsorted inputs). Their reference is the paper's EC definition itself,
+// the naive triple enumeration ExpectedJoinCost (cost/expected_cost.h):
+// tests/fast_expected_cost_test.cc, tests/dist_kernel_test.cc and fuzz
+// invariant I7 hold the sweeps to it.
 //
 // Note on the paper's F_b = E(|A| : |A| ≤ b) + b: we use the partial
 // expectation Σ_{a≤b} a·Pr(A=a) together with b·Pr(A ≤ b), which is the
@@ -115,25 +112,6 @@ double FastExpectedGraceHashCost(const Distribution& left,
 double FastExpectedJoinCost(JoinMethod method, const Distribution& left,
                             const Distribution& right,
                             const Distribution& memory);
-
-// -- Legacy cursor implementation (parity reference, not a hot path) --------
-
-namespace legacy {
-
-double FastExpectedSortMergeCost(const Distribution& left,
-                                 const Distribution& right,
-                                 const Distribution& memory);
-double FastExpectedNestedLoopCost(const Distribution& left,
-                                  const Distribution& right,
-                                  const Distribution& memory);
-double FastExpectedGraceHashCost(const Distribution& left,
-                                 const Distribution& right,
-                                 const Distribution& memory);
-double FastExpectedJoinCost(JoinMethod method, const Distribution& left,
-                            const Distribution& right,
-                            const Distribution& memory);
-
-}  // namespace legacy
 
 }  // namespace lec
 

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
-#include "storage/join_operators.h"
-
 namespace lec {
 
 namespace {
@@ -32,114 +28,6 @@ std::vector<int64_t> ChainKeyRanges(const Query& query) {
   return ranges;
 }
 
-size_t PoolCapacity(double memory) {
-  return static_cast<size_t>(std::max(1.0, std::floor(memory)));
-}
-
-struct ExecNode {
-  TableData data;
-  int lo = 0;  ///< lowest chain position covered
-  int hi = 0;  ///< highest chain position covered
-  int joins = 0;
-};
-
-struct ExecContext {
-  const Query* query;
-  const EngineWorkload* workload;
-  const std::vector<double>* memory_by_phase;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-
-  double MemoryAt(int phase_idx) const {
-    size_t i = std::min<size_t>(
-        static_cast<size_t>(std::max(phase_idx, 0)),
-        memory_by_phase->size() - 1);
-    return (*memory_by_phase)[i];
-  }
-};
-
-ExecNode Execute(ExecContext* ctx, const PlanPtr& node, int base_joins) {
-  switch (node->kind) {
-    case PlanNode::Kind::kAccess: {
-      ExecNode out;
-      out.data = ctx->workload->tables.at(
-          static_cast<size_t>(node->table_pos));
-      out.lo = out.hi = node->table_pos;
-      return out;
-    }
-    case PlanNode::Kind::kSort: {
-      ExecNode child = Execute(ctx, node->left, base_joins);
-      int phase_idx = std::max(base_joins + child.joins - 1, base_joins);
-      BufferPool pool(PoolCapacity(ctx->MemoryAt(phase_idx)));
-      child.data = ExternalSortOp(&pool, child.data, /*col=*/0);
-      ctx->reads += pool.reads();
-      ctx->writes += pool.writes();
-      return child;
-    }
-    case PlanNode::Kind::kJoin: {
-      ExecNode l = Execute(ctx, node->left, base_joins);
-      int join_idx = base_joins + l.joins;
-      ExecNode r = Execute(ctx, node->right, join_idx);
-      if (r.lo != r.hi) {
-        throw std::invalid_argument("engine executor requires left-deep plans");
-      }
-      int j = r.lo;
-      JoinColumnSpec spec;
-      int new_lo, new_hi;
-      if (j == l.hi + 1) {
-        spec.left_col = 1;   // col1 of the covered range's high boundary
-        spec.right_col = 0;  // col0 of the next chain table
-        spec.out0_side = 0;
-        spec.out0_col = 0;  // keep low boundary key
-        spec.out1_side = 1;
-        spec.out1_col = 1;  // new high boundary key
-        new_lo = l.lo;
-        new_hi = j;
-      } else if (j == l.lo - 1) {
-        spec.left_col = 0;
-        spec.right_col = 1;
-        spec.out0_side = 1;
-        spec.out0_col = 0;  // new low boundary key
-        spec.out1_side = 0;
-        spec.out1_col = 1;  // keep high boundary key
-        new_lo = j;
-        new_hi = l.hi;
-      } else {
-        throw std::invalid_argument(
-            "plan joins non-adjacent chain positions");
-      }
-      BufferPool pool(PoolCapacity(ctx->MemoryAt(join_idx)));
-      bool right_sorted = node->right->kind == PlanNode::Kind::kSort &&
-                          spec.right_col == 0;
-      TableData result;
-      switch (node->method) {
-        case JoinMethod::kSortMerge:
-          result = SortMergeJoinOp(&pool, l.data, r.data, spec,
-                                   /*left_sorted=*/false, right_sorted);
-          break;
-        case JoinMethod::kGraceHash:
-          result = GraceHashJoinOp(&pool, l.data, r.data, spec);
-          break;
-        case JoinMethod::kNestedLoop:
-          result = NestedLoopJoinOp(&pool, l.data, r.data, spec);
-          break;
-        case JoinMethod::kHybridHash:
-          throw std::invalid_argument(
-              "hybrid hash join is analytic-only (no engine operator)");
-      }
-      ctx->reads += pool.reads();
-      ctx->writes += pool.writes();
-      ExecNode out;
-      out.data = std::move(result);
-      out.lo = new_lo;
-      out.hi = new_hi;
-      out.joins = l.joins + r.joins + 1;
-      return out;
-    }
-  }
-  throw std::logic_error("unknown plan node kind");
-}
-
 }  // namespace
 
 EngineWorkload BuildChainEngineWorkload(const Query& query,
@@ -157,25 +45,6 @@ EngineWorkload BuildChainEngineWorkload(const Query& query,
         static_cast<size_t>(std::llround(pages)), range0, range1, rng));
   }
   return w;
-}
-
-EngineRunResult ExecutePlanOnEngine(const PlanPtr& plan, const Query& query,
-                                    const EngineWorkload& workload,
-                                    const std::vector<double>&
-                                        memory_by_phase) {
-  if (memory_by_phase.empty()) {
-    throw std::invalid_argument("memory_by_phase must not be empty");
-  }
-  ExecContext ctx;
-  ctx.query = &query;
-  ctx.workload = &workload;
-  ctx.memory_by_phase = &memory_by_phase;
-  ExecNode root = Execute(&ctx, plan, 0);
-  EngineRunResult result;
-  result.page_reads = ctx.reads;
-  result.page_writes = ctx.writes;
-  result.result_tuples = root.data.num_tuples();
-  return result;
 }
 
 }  // namespace lec

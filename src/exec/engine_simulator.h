@@ -1,9 +1,9 @@
-// Executing plans on the mini storage engine.
+// Synthetic page-level data for executing plans on the mini storage engine.
 //
 // The paper's §4 prototype goal ("test its benefits against realistic
-// queries and execution environments") is served here: plans chosen by the
-// optimizers run against synthetic page-level data through the real join
-// operators, and the *measured* page I/O — not the cost model's own
+// queries and execution environments") is served by exec/plan_executor.h:
+// plans chosen by the optimizers run against this data through the real
+// join operators, and the *measured* page I/O — not the cost model's own
 // formulas — decides which plan was actually cheaper.
 //
 // Scope: chain queries (predicate i connects positions i and i+1), which is
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "plan/plan.h"
 #include "query/query.h"
 #include "storage/table_data.h"
 #include "util/rng.h"
@@ -36,23 +35,6 @@ struct EngineWorkload {
 /// catalog, so use a scaled-down catalog for engine runs.
 EngineWorkload BuildChainEngineWorkload(const Query& query,
                                         const Catalog& catalog, Rng* rng);
-
-/// Outcome of one engine execution.
-struct EngineRunResult {
-  uint64_t page_reads = 0;
-  uint64_t page_writes = 0;
-  size_t result_tuples = 0;
-
-  uint64_t total_io() const { return page_reads + page_writes; }
-};
-
-/// Executes `plan` against the workload. `memory_by_phase` gives the buffer
-/// pool capacity (pages) for each join phase (a single value means static
-/// memory). Charges all operator I/O and returns the totals.
-EngineRunResult ExecutePlanOnEngine(const PlanPtr& plan, const Query& query,
-                                    const EngineWorkload& workload,
-                                    const std::vector<double>&
-                                        memory_by_phase);
 
 }  // namespace lec
 

@@ -1,10 +1,12 @@
 // Executing optimizer plans with per-phase tracing, drift detection and
 // mid-flight re-optimization.
 //
-// engine_simulator.h answers "what did this plan cost" as two totals; this
-// module is the full execution loop the ROADMAP's close-the-loop item asks
-// for. It runs an OptimizeResult plan phase by phase through the real
-// storage/ operators, and after every join:
+// The one plan executor: it runs an OptimizeResult plan phase by phase
+// through the real storage/ operators over the data BuildChainEngineWorkload
+// (exec/engine_simulator.h) generates. Callers that only want "what did
+// this plan cost" set ExecutePlanOptions::memory_by_phase and read
+// page_reads, page_writes and result_tuples() off the result. After every
+// join it:
 //
 //   * records a PhaseTrace — operator, input/output pages (planned AND
 //     realized), charged I/O, the memory value in force;
@@ -25,7 +27,7 @@
 // (plan_executor_test.cc; fuzz invariant I12). Re-optimization changes
 // only which plan the tail executes, never the answer.
 //
-// Scope matches engine_simulator: chain queries, left-deep plans.
+// Scope: chain queries, left-deep plans.
 #ifndef LECOPT_EXEC_PLAN_EXECUTOR_H_
 #define LECOPT_EXEC_PLAN_EXECUTOR_H_
 
@@ -117,7 +119,8 @@ struct ExecutionResult {
 /// left-deep over adjacent chain positions (what the optimizers emit for
 /// chain queries); the workload must have one TableData per query position
 /// (BuildChainEngineWorkload's shape). Throws std::invalid_argument on
-/// shape violations, like engine_simulator.
+/// shape violations (a non-chain join, a bushy plan, a hybrid-hash join,
+/// an empty memory_by_phase).
 ExecutionResult ExecutePlan(const PlanPtr& plan, const Query& query,
                             const EngineWorkload& workload,
                             const ExecutePlanOptions& options);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -26,28 +25,22 @@ bool FastPathValid(const CostModel& model, JoinMethod method,
 }
 
 // ---------------------------------------------------------------------------
-// Kernel path: size propagation and EC evaluation on arena-backed SoA
-// views, decisions recorded in the sparse DP table and the plan materialized
-// once at the end. Mirrors the legacy path candidate for candidate, so
-// objectives are bit-identical (I7 holds them together within
-// verify/tolerance.h bounds as a safety net).
+// Size propagation and EC evaluation run on arena-backed SoA views
+// (dist/kernel.h); decisions are recorded in the sparse DP table and the
+// plan is materialized once at the end.
 //
 // Known duplication: the candidate-enumeration nest below repeats
 // RunDpInto's shape (dp_common.h) with a distribution-valued cost seam —
 // per-subset views/hashes/means, the cache-or-compute step, D's
 // cost_evaluations accounting. Folding both into one template needs a
 // richer provider seam (per-(subset, j) context) than DpCostProvider
-// offers today; until that refactor, I7's plan/objective parity checks
-// are the tripwire that catches the two copies drifting apart.
+// offers today. Until then the two copies are held to the same answers
+// from outside: fuzz I1 re-scores D's plan and checks it against the
+// exhaustive oracle, I2 collapses D onto lec_static when both spread axes
+// are 1, and I7 holds the fast-EC sweeps to the naive enumerator.
 // ---------------------------------------------------------------------------
 
-/// OptimizeAlgorithmD routes a query to the legacy pipeline when 2^n ×
-/// (predicates + 1) exceeds this. The limit guards the kernel path's dense
-/// per-subset size tables below (a view, hash and mean for each of the 2^n
-/// subsets); the decision table itself is the sparse DpScratch.
-constexpr size_t kMaxDenseSizeTableEntries = size_t{1} << 23;
-
-/// The kernel path's per-thread size tables, indexed by subset. They only
+/// Algorithm D's per-thread size tables, indexed by subset. They only
 /// grow; ReleaseThreadLocalDpScratch frees them.
 struct DScratch {
   std::vector<DistView> size_view;
@@ -83,11 +76,12 @@ DistArena& ThreadLocalDArena() {
   return arena;
 }
 
-OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
-                                        const Catalog& catalog,
-                                        const CostModel& model,
-                                        const Distribution& memory,
-                                        const OptimizerOptions& options) {
+}  // namespace
+
+OptimizeResult OptimizeAlgorithmD(const Query& query, const Catalog& catalog,
+                                  const CostModel& model,
+                                  const Distribution& memory,
+                                  const OptimizerOptions& options) {
   WallTimer timer;
   DpContext ctx(query, catalog, options);
   int n = ctx.num_tables();
@@ -267,190 +261,6 @@ OptimizeResult OptimizeAlgorithmDKernel(const Query& query,
   result.plan = plan;
   result.elapsed_seconds = timer.Seconds();
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy path: the original Distribution-returning pipeline, preserved as
-// the I7 parity reference (options.use_dist_kernels = false).
-// ---------------------------------------------------------------------------
-
-OptimizeResult OptimizeAlgorithmDLegacy(const Query& query,
-                                        const Catalog& catalog,
-                                        const CostModel& model,
-                                        const Distribution& memory,
-                                        const OptimizerOptions& options) {
-  WallTimer timer;
-  DpContext ctx(query, catalog, options);
-  int n = ctx.num_tables();
-  size_t num_subsets = size_t{1} << n;
-  OptimizeResult result;
-  result.candidates_by_phase.assign(static_cast<size_t>(std::max(n - 1, 1)),
-                                    0);
-  EcCache* cache = options.ec_cache;
-  // Memoized expected sort cost (enforcers and the final ORDER BY).
-  auto sort_ec = [&](const Distribution& pages) {
-    auto compute = [&]() { return ExpectedSortCost(model, pages, memory); };
-    return cache != nullptr ? cache->SortEc(pages, memory, compute)
-                            : compute();
-  };
-
-  // Size distribution per subset (independent of join order; computed once
-  // per subset as §3.6.3 recommends).
-  std::vector<Distribution> size_dist(num_subsets,
-                                      Distribution::PointMass(1.0));
-  for (QueryPos p = 0; p < n; ++p) {
-    size_dist[TableSet{1} << p] = catalog.table(query.table(p))
-                                      .SizeDistribution()
-                                      .Rebucket(options.size_buckets);
-  }
-  for (int size = 2; size <= n; ++size) {
-    for (TableSet s = 1; s < num_subsets; ++s) {
-      if (SetSize(s) != size) continue;
-      // |S| = |S_j| · |A_j| · σ for any j ∈ S (every internal predicate is
-      // counted exactly once across the recursive decomposition), so one
-      // derivation per subset suffices (§3.6.3).
-      QueryPos j = Members(s).front();
-      TableSet sj = s & ~(TableSet{1} << j);
-      Distribution sel = CombinedSelectivityDistribution(
-          query, ctx.ConnectingPredicates(sj, j), options.size_buckets);
-      size_dist[s] = JoinSizeDistribution(size_dist[sj],
-                                          size_dist[TableSet{1} << j], sel,
-                                          options.size_buckets,
-                                          options.size_mode);
-    }
-  }
-
-  struct EntryD {
-    PlanPtr plan;
-    double ec = 0;
-  };
-  std::vector<std::map<OrderId, EntryD>> table(num_subsets);
-
-  for (QueryPos p = 0; p < n; ++p) {
-    TableSet s = TableSet{1} << p;
-    EntryD e;
-    e.plan = MakeAccess(p, size_dist[s].Mean());
-    e.ec = size_dist[s].Mean();  // scan cost linear in size
-    table[s][kUnsorted] = std::move(e);
-  }
-
-  for (int size = 2; size <= n; ++size) {
-    for (TableSet s = 1; s < num_subsets; ++s) {
-      if (SetSize(s) != size) continue;
-      for (QueryPos j : Members(s)) {
-        TableSet sj = s & ~(TableSet{1} << j);
-        if (table[sj].empty()) continue;
-        if (ctx.CrossProductForbidden(sj, j)) continue;
-        std::vector<int> preds = ctx.ConnectingPredicates(sj, j);
-        const Distribution& left_size = size_dist[sj];
-        const Distribution& right_size = size_dist[TableSet{1} << j];
-        const EntryD& right = table[TableSet{1} << j].at(kUnsorted);
-
-        for (const auto& [left_order, left] : table[sj]) {
-          for (JoinMethod method : options.join_methods) {
-            std::vector<int> keys;
-            if (method == JoinMethod::kSortMerge) {
-              if (preds.empty()) continue;
-              keys = preds;
-            } else {
-              keys.push_back(kUnsorted);
-            }
-            for (int key : keys) {
-              struct InnerAlt {
-                bool sorted;
-                double extra_ec;
-              };
-              std::vector<InnerAlt> inners = {{false, 0.0}};
-              if (method == JoinMethod::kSortMerge &&
-                  options.consider_sort_enforcers) {
-                inners.push_back({true, sort_ec(right_size)});
-              }
-              for (const InnerAlt& inner : inners) {
-                ++result.candidates_considered;
-                ++result.candidates_by_phase[static_cast<size_t>(size - 2)];
-                bool ls = key != kUnsorted && left_order == key;
-                bool rs = inner.sorted;
-                // The evaluation counters tick only when the formulas
-                // actually run; a cache hit skips both the work and the
-                // counter — cost_evaluations is the measure of work done.
-                auto compute_step = [&]() -> double {
-                  if (options.use_fast_ec &&
-                      FastPathValid(model, method, ls, rs)) {
-                    result.cost_evaluations += left_size.size() +
-                                               right_size.size() +
-                                               memory.size();
-                    return legacy::FastExpectedJoinCost(method, left_size,
-                                                        right_size, memory);
-                  }
-                  result.cost_evaluations +=
-                      left_size.size() * right_size.size() * memory.size();
-                  return ExpectedJoinCost(model, method, left_size,
-                                          right_size, memory, ls, rs);
-                };
-                double step_ec =
-                    cache != nullptr
-                        ? cache->JoinEc(method, ls, rs, left_size, right_size,
-                                        memory, compute_step)
-                        : compute_step();
-                double total = left.ec + right.ec + inner.extra_ec + step_ec;
-                OrderId out_order =
-                    DpContext::JoinOutputOrder(method, left_order, key);
-                PlanPtr right_plan = right.plan;
-                if (inner.sorted) right_plan = MakeSort(right_plan, key);
-                EntryD e;
-                e.plan = MakeJoin(left.plan, right_plan, method, preds,
-                                  out_order, size_dist[s].Mean());
-                e.ec = total;
-                auto it = table[s].find(out_order);
-                if (it == table[s].end() || e.ec < it->second.ec) {
-                  table[s][out_order] = std::move(e);
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  const auto& roots = table[query.AllTables()];
-  if (roots.empty()) throw std::runtime_error("no plan found for query");
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [order, entry] : roots) {
-    double total = entry.ec;
-    PlanPtr plan = entry.plan;
-    if (query.required_order() && order != *query.required_order()) {
-      total += sort_ec(size_dist[query.AllTables()]);
-      plan = MakeSort(plan, *query.required_order());
-    }
-    if (total < best) {
-      best = total;
-      result.plan = plan;
-    }
-  }
-  result.objective = best;
-  result.elapsed_seconds = timer.Seconds();
-  return result;
-}
-
-}  // namespace
-
-OptimizeResult OptimizeAlgorithmD(const Query& query, const Catalog& catalog,
-                                  const CostModel& model,
-                                  const Distribution& memory,
-                                  const OptimizerOptions& options) {
-  // The kernel path's size tables are dense in 2^n, so a huge
-  // densely-predicated query routes to the legacy pipeline instead (see
-  // kMaxDenseSizeTableEntries).
-  size_t flat_entries =
-      (size_t{1} << query.num_tables()) *
-      (static_cast<size_t>(query.num_predicates()) + 1);
-  bool kernels =
-      options.use_dist_kernels && flat_entries <= kMaxDenseSizeTableEntries;
-  return kernels ? OptimizeAlgorithmDKernel(query, catalog, model, memory,
-                                            options)
-                 : OptimizeAlgorithmDLegacy(query, catalog, model, memory,
-                                            options);
 }
 
 namespace internal {

@@ -222,8 +222,9 @@ void DpScratch::RetainBest(OrderId order, double cost,
                            const DpDecision& decision) {
   DpSlot& slot = slots_.back();
   DpFlatEntry* base = entries_.data() + slot.offset;
-  // Entries stay sorted by order so iteration matches the legacy std::map
-  // walk; nodes hold a handful of orders, so linear scans win.
+  // Entries stay sorted by order, which fixes the left-entry iteration
+  // order (and with it tie-breaking, pinned by tests/golden/
+  // dp_counters.txt); nodes hold a handful of orders, so linear scans win.
   size_t pos = 0;
   while (pos < slot.count && base[pos].order < order) ++pos;
   if (pos < slot.count && base[pos].order == order) {

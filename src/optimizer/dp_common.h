@@ -18,7 +18,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -89,15 +88,10 @@ struct OptimizerOptions {
   SizePropagationMode size_mode = SizePropagationMode::kCubeRootPrebucket;
   /// Algorithm D: use the §3.6 linear-time EC paths when valid.
   bool use_fast_ec = true;
-  /// Algorithm D: run size propagation and EC evaluation on the flat
-  /// arena-backed SoA kernels (dist/kernel.h) instead of the legacy
-  /// Distribution-returning pipeline. The two paths are held together by
-  /// fuzz invariant I7 (verify/fuzz_driver.h); off is the parity reference,
-  /// not a supported production configuration.
-  bool use_dist_kernels = true;
-  /// Algorithm D kernel path: borrowed scratch arena (reset per DP
-  /// instance). Null uses a per-thread arena; tests inject their own to pin
-  /// the steady-state-zero-allocation property.
+  /// Algorithm D: borrowed scratch arena for its size-propagation and EC
+  /// kernels (dist/kernel.h), reset per DP instance. Null uses a
+  /// per-thread arena; tests inject their own to pin the
+  /// steady-state-zero-allocation property.
   DistArena* dist_arena = nullptr;
   /// Optional expected-cost memo cache (borrowed, not owned; see
   /// cost/ec_cache.h for the identity and thread-safety contract). Used by
@@ -175,16 +169,6 @@ struct OptimizeResult {
   std::shared_ptr<const rewrite::RewriteOutcome> rewrite;
 };
 
-/// How a candidate join step is costed. `phase_idx` is the 0-based phase in
-/// which the join executes (the join forming a subset of size s runs in
-/// phase s-2; §3.5). Returns the step's cost contribution.
-using JoinCostFn = std::function<double(
-    JoinMethod method, double left_pages, double right_pages,
-    bool left_sorted, bool right_sorted, int phase_idx)>;
-
-/// Cost of sorting `pages` in phase `phase_idx` (enforcers + final ORDER BY).
-using SortCostFn = std::function<double(double pages, int phase_idx)>;
-
 /// Per-query quantities shared by the DP algorithms. Nothing here is
 /// sized 2^n: subset page counts are computed on demand and the minimum
 /// over all subsets is computed once, on first use.
@@ -259,11 +243,12 @@ struct DpEntry {
 /// Per-subset DP state keyed by output order (interesting orders).
 using OrderMap = std::map<OrderId, DpEntry>;
 
-/// How RunDp's cost provider is shaped: a join-step cost and a sort cost,
-/// both phase-aware. Concrete providers (one per strategy, defined next to
-/// each entry point) dispatch statically — no std::function erasure on the
-/// per-candidate hot path. The erased JoinCostFn/SortCostFn API below is
-/// kept as a thin adapter for tests and one-off callers.
+/// How RunDp's cost provider is shaped: a join-step cost and a sort cost
+/// (enforcers and the final ORDER BY), both phase-aware. `phase` is the
+/// 0-based phase in which the step executes (the join forming a subset of
+/// size s runs in phase s-2; §3.5). Concrete providers (cost/
+/// cost_policies.h, one per costing regime) dispatch statically, so the
+/// per-candidate hot path makes no indirect calls.
 template <typename P>
 concept DpCostProvider =
     requires(const P& p, JoinMethod m, double pages, bool sorted, int phase) {
@@ -285,8 +270,8 @@ concept DpCostProvider =
 ///     this provider (true exactly when its floors are exact-admissible;
 ///     see cost/cost_policies.h).
 ///
-/// Providers without these members (RealizedCostProvider, the erased
-/// adapter) simply never prune — the DP checks the concept if-constexpr.
+/// Providers without these members (RealizedCostProvider) simply never
+/// prune — the DP checks the concept if-constexpr.
 template <typename P>
 concept DpPruningProvider =
     DpCostProvider<P> &&
@@ -311,10 +296,9 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 // ---------------------------------------------------------------------------
 // Allocation-free DP core.
 //
-// The legacy RunDp below (kept as RunDpLegacy, a test-only parity
-// reference for fuzz invariant I7) spends its time in the allocator and
-// in 2^n tables: a std::map per subset, a keys/inners vector and a
-// MakeJoin plan tree per *candidate*. The core separates concerns:
+// The textbook formulation keeps a 2^n table of std::maps and builds a
+// plan tree per *candidate*, so it spends its time in the allocator. The
+// core separates concerns instead:
 //
 //   * RunDpInto computes the objective over a sparse table owned by a
 //     reusable DpScratch — no plan construction at all. Only LIVE subsets
@@ -325,13 +309,16 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 //     warm-up call the scratch is capacity-stable and a full run performs
 //     zero heap allocations (pinned by tests/dist_arena_test.cc with a
 //     counting operator new).
-//   * MaterializeDpPlan replays the recorded decisions into the same plan
-//     tree the legacy code built candidate by candidate — O(n) shared_ptr
-//     nodes once per optimization, at the result boundary.
+//   * MaterializeDpPlan replays the recorded decisions into the plan tree
+//     — O(n) shared_ptr nodes once per optimization, at the result
+//     boundary.
 //
-// Candidate enumeration order, tie-breaking (strict <) and every counter
-// increment mirror RunDpLegacy exactly, so objectives and plans are
-// bit-identical between the two.
+// Candidates are enumerated by subset size, subsets ascending, then by
+// joined relation, left entry (ascending order), method, key and inner
+// alternative; ties keep the first-seen entry (strict <). Objectives,
+// plans and counters at n = 10, 19 and 20 are pinned bit for bit by
+// tests/golden/dp_counters.txt, and optimality by the exhaustive oracle
+// (fuzz invariant I1).
 // ---------------------------------------------------------------------------
 
 /// The decision that produced a retained DP entry.
@@ -801,8 +788,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
 /// relatively small and localized change" (§3.3).
 /// Runs on the thread-local scratch (objective core + one plan
 /// materialization) for every query DpContext accepts (n ≤ 20); there is
-/// no size threshold and no second path. Bit-identical to RunDpLegacy in
-/// objective, counters and plan.
+/// no size threshold and no second path.
 /// Note on timing: RunDp does not stamp elapsed_seconds — the public
 /// Optimize* entry points own that field (their span includes context
 /// construction and any per-phase precomputation). Direct RunDp callers
@@ -814,152 +800,6 @@ OptimizeResult RunDp(const DpContext& ctx, const P& cost) {
   RunDpInto(ctx, cost, scratch, &result);
   result.plan = MaterializeDpPlan(ctx, *scratch);
   return result;
-}
-
-/// The pre-arena implementation, preserved verbatim: a 2^n table of
-/// std::maps, a plan tree per candidate. No optimizer calls it; it remains
-/// only as the parity reference for fuzz invariant I7 and the tests, and
-/// the baseline bench_dist_kernels (E18) and bench_opt_scaling measure
-/// RunDp against.
-template <DpCostProvider P>
-OptimizeResult RunDpLegacy(const DpContext& ctx, const P& cost) {
-  const Query& query = ctx.query();
-  const OptimizerOptions& opts = ctx.options();
-  int n = ctx.num_tables();
-  size_t num_subsets = size_t{1} << n;
-  std::vector<OrderMap> table(num_subsets);
-  OptimizeResult result;
-  result.candidates_by_phase.assign(static_cast<size_t>(std::max(n - 1, 1)),
-                                    0);
-
-  // Depth 1: access paths. (With a single access method per relation the
-  // LEC access path of Algorithm C's base case is just the scan.)
-  for (QueryPos p = 0; p < n; ++p) {
-    TableSet s = TableSet{1} << p;
-    double pages = ctx.TablePages(p);
-    DpEntry e;
-    e.plan = MakeAccess(p, pages);
-    e.cost = pages;  // sequential scan, memory-independent
-    table[s][kUnsorted] = std::move(e);
-  }
-
-  // Depths 2..n, in subset-size order (phase of the join = size - 2).
-  for (int size = 2; size <= n; ++size) {
-    for (TableSet s = 1; s < num_subsets; ++s) {
-      if (SetSize(s) != size) continue;
-      int phase_idx = size - 2;
-      double out_pages = ctx.SubsetPages(s);
-      for (QueryPos j : Members(s)) {
-        TableSet sj = s & ~(TableSet{1} << j);
-        const OrderMap& left_entries = table[sj];
-        if (left_entries.empty()) continue;
-        if (ctx.CrossProductForbidden(sj, j)) continue;
-        const OrderMap& right_entries = table[TableSet{1} << j];
-        const DpEntry& right = right_entries.at(kUnsorted);
-        std::vector<int> preds = ctx.ConnectingPredicates(sj, j);
-        double left_pages = ctx.SubsetPages(sj);
-        double right_pages = ctx.TablePages(j);
-
-        for (const auto& [left_order, left] : left_entries) {
-          for (JoinMethod method : opts.join_methods) {
-            // Sort-merge may key on any connecting predicate; other methods
-            // use a single canonical candidate.
-            std::vector<int> keys;
-            if (method == JoinMethod::kSortMerge) {
-              if (preds.empty()) continue;  // SM needs an equi-join key
-              keys = preds;
-            } else {
-              keys.push_back(kUnsorted);
-            }
-            for (int key : keys) {
-              // Inner-side alternatives: raw scan, plus an explicit sort
-              // enforcer when the options allow and SM could benefit.
-              struct InnerAlt {
-                bool sorted;
-                double extra_cost;
-              };
-              std::vector<InnerAlt> inners = {{false, 0.0}};
-              if (method == JoinMethod::kSortMerge &&
-                  opts.consider_sort_enforcers) {
-                ++result.cost_evaluations;
-                inners.push_back(
-                    {true, cost.SortCost(right_pages, phase_idx)});
-              }
-              for (const InnerAlt& inner : inners) {
-                ++result.candidates_considered;
-                ++result.candidates_by_phase[static_cast<size_t>(phase_idx)];
-                ++result.cost_evaluations;
-                bool left_sorted = key != kUnsorted && left_order == key;
-                double step =
-                    cost.JoinCost(method, left_pages, right_pages,
-                                  left_sorted, inner.sorted, phase_idx);
-                double total =
-                    left.cost + right.cost + inner.extra_cost + step;
-                OrderId out_order =
-                    DpContext::JoinOutputOrder(method, left_order, key);
-                PlanPtr right_plan = right.plan;
-                if (inner.sorted) right_plan = MakeSort(right_plan, key);
-                DpEntry e;
-                e.plan = MakeJoin(left.plan, right_plan, method, preds,
-                                  out_order, out_pages);
-                e.cost = total;
-                internal::RetainBest(&table[s], out_order, std::move(e));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // Root: enforce the query's ORDER BY if present, then take the minimum.
-  const OrderMap& roots = table[query.AllTables()];
-  if (roots.empty()) {
-    throw std::runtime_error(
-        "no plan found (disconnected query with cross products forbidden?)");
-  }
-  double best = std::numeric_limits<double>::infinity();
-  PlanPtr best_plan;
-  int last_phase = std::max(n - 2, 0);
-  for (const auto& [order, entry] : roots) {
-    double total = entry.cost;
-    PlanPtr plan = entry.plan;
-    if (query.required_order() && order != *query.required_order()) {
-      ++result.cost_evaluations;
-      total += cost.SortCost(ctx.SubsetPages(query.AllTables()), last_phase);
-      plan = MakeSort(plan, *query.required_order());
-    }
-    if (total < best) {
-      best = total;
-      best_plan = plan;
-    }
-  }
-  result.plan = best_plan;
-  result.objective = best;
-  return result;
-}
-
-/// Adapter keeping the historical type-erased API: wraps the two
-/// std::functions in a provider. Pays one indirect call per candidate, so
-/// the hot strategies use concrete providers instead; bench_opt_scaling
-/// measures the difference.
-struct ErasedCostProvider {
-  const JoinCostFn& join_cost;
-  const SortCostFn& sort_cost;
-
-  double JoinCost(JoinMethod m, double left_pages, double right_pages,
-                  bool left_sorted, bool right_sorted, int phase_idx) const {
-    return join_cost(m, left_pages, right_pages, left_sorted, right_sorted,
-                     phase_idx);
-  }
-  double SortCost(double pages, int phase_idx) const {
-    return sort_cost(pages, phase_idx);
-  }
-};
-
-inline OptimizeResult RunDp(const DpContext& ctx, const JoinCostFn& join_cost,
-                            const SortCostFn& sort_cost) {
-  return RunDp(ctx, ErasedCostProvider{join_cost, sort_cost});
 }
 
 }  // namespace lec

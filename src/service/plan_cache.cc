@@ -297,8 +297,7 @@ PlanCache::PlanCache() : PlanCache(Options{}) {}
 
 PlanCache::PlanCache(Options options)
     : shards_(static_cast<size_t>(std::max(options.shards, 1))),
-      max_entries_(std::max<size_t>(options.max_entries, 1)),
-      eager_invalidate_sweep_(options.eager_invalidate_sweep) {
+      max_entries_(std::max<size_t>(options.max_entries, 1)) {
   per_shard_cap_ =
       std::max<size_t>((max_entries_ + shards_.size() - 1) / shards_.size(),
                        1);
@@ -328,31 +327,26 @@ std::optional<OptimizeResult> PlanCache::Lookup(const QuerySignature& sig) {
     return std::nullopt;
   }
   auto entry_it = it->second;
-  if (entry_it->epoch != epoch_.load(std::memory_order_relaxed)) {
-    EraseLocked(shard, entry_it);
-    ++shard.stats.stale;
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
   shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
   ++shard.stats.hits;
   return entry_it->result;
 }
 
-void PlanCache::InsertLocked(Shard& shard, const QuerySignature& sig,
-                             const OptimizeResult& result, uint64_t epoch) {
+void PlanCache::Insert(const QuerySignature& sig,
+                       const OptimizeResult& result) {
+  Shard& shard = ShardFor(sig.hash);
+  std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(std::string_view(sig.canonical));
   if (it != shard.index.end()) {
     // Same canonical bytes imply the same dist_hashes, so the existing
     // reverse-index links stay correct.
     auto entry_it = it->second;
     entry_it->result = result;
-    entry_it->epoch = epoch;
     shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
     ++shard.stats.insertions;
     return;
   }
-  shard.lru.push_front(Entry{sig.canonical, result, epoch, sig.dist_hashes});
+  shard.lru.push_front(Entry{sig.canonical, result, sig.dist_hashes});
   shard.index[std::string_view(shard.lru.front().canonical)] =
       shard.lru.begin();
   for (uint64_t h : shard.lru.front().dist_hashes) {
@@ -365,32 +359,13 @@ void PlanCache::InsertLocked(Shard& shard, const QuerySignature& sig,
   }
 }
 
-void PlanCache::Insert(const QuerySignature& sig,
-                       const OptimizeResult& result) {
-  Shard& shard = ShardFor(sig.hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  InsertLocked(shard, sig, result, epoch_.load(std::memory_order_relaxed));
-}
-
 void PlanCache::InvalidateAll() {
-  uint64_t fresh = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!eager_invalidate_sweep_) return;
-  // Eager sweep: release dead entries' cap slots now instead of letting a
-  // cache full of invalidated entries evict fresh inserts until each one
-  // is touched. Entries inserted concurrently already carry `fresh` (or a
-  // later epoch, if another InvalidateAll raced ahead) and are kept; any
-  // old-epoch entry slipping in between the bump and its shard's sweep is
-  // dropped lazily by Lookup, same counter.
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      auto next = std::next(it);
-      if (it->epoch < fresh) {
-        EraseLocked(shard, it);
-        ++shard.stats.stale;
-      }
-      it = next;
-    }
+    shard.stats.stale += shard.lru.size();
+    shard.index.clear();
+    shard.by_dist.clear();
+    shard.lru.clear();
   }
 }
 
@@ -443,16 +418,15 @@ void PlanCache::Clear() {
 
 std::string PlanCache::SaveSnapshot(serde::Encoding encoding,
                                     size_t* entries_out) const {
-  // Copy the live entries out under the shard locks, then serialize in
+  // Copy the entries out under the shard locks, then serialize in
   // canonical order so the snapshot bytes are a function of the cache
   // *contents*, not of insertion history or shard layout (save → load →
   // save is byte-stable; golden snapshots stay diffable).
-  uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   std::vector<std::pair<std::string, OptimizeResult>> entries;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const Entry& e : shard.lru) {
-      if (e.epoch == epoch) entries.emplace_back(e.canonical, e.result);
+      entries.emplace_back(e.canonical, e.result);
     }
   }
   std::sort(entries.begin(), entries.end(),

@@ -54,12 +54,9 @@
 // precise one: each entry is linked in a per-shard reverse index under the
 // ContentHash of every Distribution its signature consumed, so a
 // re-derived statistic (src/stats/) drops exactly the plans that read its
-// predecessor and nothing else. InvalidateAll() is the blunt fallback: an
-// epoch bump followed (by default) by an eager per-shard sweep, so dead
-// entries release their cap slots immediately instead of squatting in the
-// LRU and evicting fresh inserts until touched; entries that race the
-// sweep are still dropped lazily on next touch (both paths count in
-// stats().stale).
+// predecessor and nothing else. InvalidateAll() is the blunt fallback: it
+// clears every shard under that shard's lock, so dead entries release
+// their cap slots at once (counted in stats().stale).
 //
 // Persistence: SaveSnapshot/LoadSnapshot serialize every live entry
 // through service/serde.h (bit-exact doubles), so a restarted service
@@ -69,7 +66,6 @@
 #ifndef LECOPT_SERVICE_PLAN_CACHE_H_
 #define LECOPT_SERVICE_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -132,13 +128,6 @@ class PlanCache {
     /// Lock shards. More shards = less contention, slightly looser LRU
     /// (eviction order is per-shard). Values < 1 are treated as 1.
     int shards = 16;
-    /// When true (the default), InvalidateAll() eagerly sweeps every shard
-    /// after bumping the epoch, so dead entries release their cap slots
-    /// immediately. The lazy-only mode (false) is kept as an ablation of
-    /// the pre-sweep behavior — under it a cache full of invalidated
-    /// entries keeps evicting fresh inserts until each dead entry happens
-    /// to be touched — and to pin the lazy-drop counter contract.
-    bool eager_invalidate_sweep = true;
   };
 
   struct Stats {
@@ -146,8 +135,7 @@ class PlanCache {
     size_t misses = 0;
     size_t insertions = 0;
     size_t evictions = 0;
-    /// Entries dropped because their epoch predates InvalidateAll()
-    /// (whether swept eagerly or dropped on touch).
+    /// Entries dropped by InvalidateAll().
     size_t stale = 0;
     /// Entries dropped by InvalidateDistribution (precise invalidation).
     size_t invalidated = 0;
@@ -159,8 +147,7 @@ class PlanCache {
   explicit PlanCache(Options options);
 
   /// The cached result for `sig`, or nullopt. A hit refreshes LRU
-  /// recency. A stale entry (older epoch) is dropped and reported as a
-  /// miss. The returned result shares the immutable plan tree with the
+  /// recency. The returned result shares the immutable plan tree with the
   /// cache — safe, plan nodes are never mutated.
   std::optional<OptimizeResult> Lookup(const QuerySignature& sig);
 
@@ -168,13 +155,11 @@ class PlanCache {
   /// tail if the cap is exceeded.
   void Insert(const QuerySignature& sig, const OptimizeResult& result);
 
-  /// Marks every current entry stale (epoch bump) and, unless the eager
-  /// sweep is disabled in Options, immediately drops them shard by shard
-  /// so dead entries stop occupying the cap. Entries that escape the
-  /// sweep (inserted concurrently under the old epoch) are still dropped
-  /// lazily when next touched. Either way the drop counts in
-  /// stats().stale. The blunt fallback for "everything drifted" — for a
-  /// single changed distribution use InvalidateDistribution.
+  /// Drops every entry, shard by shard under each shard's lock, counting
+  /// them in stats().stale. An Insert racing the call lands either before
+  /// its shard is cleared (and is dropped) or after (and is kept). The blunt
+  /// fallback for "everything drifted" — for a single changed
+  /// distribution use InvalidateDistribution.
   void InvalidateAll();
 
   /// Precise invalidation: drops exactly the entries whose signature
@@ -194,22 +179,19 @@ class PlanCache {
 
   // -- Snapshots ------------------------------------------------------------
 
-  /// Serializes every live entry, sorted by canonical signature — note
-  /// entries invalidated since their insert are NOT saved, so the count a
-  /// snapshot holds can be below size(); `entries_out` (optional) reports
-  /// how many were actually written. Text encoding is the golden-snapshot
-  /// format; binary is denser for big caches.
+  /// Serializes every entry, sorted by canonical signature; `entries_out`
+  /// (optional) reports how many were written. Text encoding is the
+  /// golden-snapshot format; binary is denser for big caches.
   std::string SaveSnapshot(serde::Encoding encoding = serde::Encoding::kText,
                            size_t* entries_out = nullptr) const;
 
-  /// Inserts every entry of a snapshot (current epoch, normal eviction
-  /// applies); returns the number admitted. Throws serde::SerdeError on a
+  /// Inserts every entry of a snapshot (normal eviction applies); returns
+  /// the number admitted. Throws serde::SerdeError on a
   /// malformed or version-skewed snapshot.
   size_t LoadSnapshot(std::string_view bytes);
 
   /// File convenience wrappers; throw std::runtime_error on I/O failure.
-  /// SaveSnapshotFile returns the number of entries written (see
-  /// SaveSnapshot — stale entries are skipped).
+  /// SaveSnapshotFile returns the number of entries written.
   size_t SaveSnapshotFile(
       const std::string& path,
       serde::Encoding encoding = serde::Encoding::kText) const;
@@ -219,7 +201,6 @@ class PlanCache {
   struct Entry {
     std::string canonical;
     OptimizeResult result;
-    uint64_t epoch = 0;
     /// Sorted, deduplicated ContentHashes of the distributions this
     /// entry's signature consumed — the keys under which it is linked in
     /// the shard's reverse index.
@@ -231,8 +212,8 @@ class PlanCache {
   /// splice() never moves elements, so the views stay valid for the
   /// entry's lifetime. `by_dist` is the reverse index ContentHash → entry
   /// for InvalidateDistribution; every entry is linked under each of its
-  /// dist_hashes, and unlinked on every erase path (eviction, stale drop,
-  /// sweep, Clear).
+  /// dist_hashes, and unlinked on every erase path (eviction, precise
+  /// invalidation, InvalidateAll, Clear).
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;
@@ -248,10 +229,6 @@ class PlanCache {
     return shards_[hash % shards_.size()];
   }
 
-  /// Insert under `shard.mu` (caller holds it).
-  void InsertLocked(Shard& shard, const QuerySignature& sig,
-                    const OptimizeResult& result, uint64_t epoch);
-
   /// Erases the entry from lru, index and by_dist (caller holds shard.mu;
   /// counter accounting is the caller's).
   static void EraseLocked(Shard& shard, std::list<Entry>::iterator entry_it);
@@ -259,8 +236,6 @@ class PlanCache {
   std::vector<Shard> shards_;
   size_t max_entries_;
   size_t per_shard_cap_;
-  bool eager_invalidate_sweep_;
-  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace lec

@@ -702,7 +702,10 @@ void Write(Writer& w, const OptimizerOptions& options) {
   w.U64(options.size_buckets);
   w.U32(static_cast<uint32_t>(options.size_mode));
   w.Bool(options.use_fast_ec);
-  w.Bool(options.use_dist_kernels);
+  // Wire v3 slot of the retired use_dist_kernels option: Algorithm D has
+  // one pipeline now, so the slot is always written true and ignored on
+  // read. Keeping it keeps v3 streams and signature bytes unchanged.
+  w.Bool(true);
   w.U32(static_cast<uint32_t>(options.simd_mode));
   w.U32(static_cast<uint32_t>(options.dp_pruning));
   // Version 3: logical rewrite pipeline toggle.
@@ -736,7 +739,7 @@ OptimizerOptions ReadOptimizerOptions(Reader& r) {
   }
   options.size_mode = static_cast<SizePropagationMode>(mode);
   options.use_fast_ec = r.Bool();
-  options.use_dist_kernels = r.Bool();
+  r.Bool();  // retired use_dist_kernels slot (see Write)
   uint32_t simd = r.U32();
   if (simd > static_cast<uint32_t>(SimdMode::kAvx2)) {
     throw SerdeError("serde: unknown simd mode");

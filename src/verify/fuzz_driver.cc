@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "cost/cost_policies.h"
+#include "cost/expected_cost.h"
 #include "cost/fast_expected_cost.h"
 #include "cost/size_propagation.h"
 #include "dist/simd.h"
@@ -515,89 +516,58 @@ class CaseChecker {
   void CheckKernelParity() {
     if (Stop()) return;
     const Workload& w = ctx_.workload;
-    // (a) DP core: the flat decision-table RunDp against the legacy
-    // map-based DP, across the scalar costing regimes. The rewrite mirrors
-    // the legacy enumeration and tie-breaking, so plans must be
-    // structurally identical, not merely equal-cost — including the work
-    // counters, which requires pruning off here (RunDpLegacy never prunes;
-    // I9 below covers pruned-vs-unpruned parity separately).
-    OptimizerOptions opts;
-    opts.dp_pruning = DpPruning::kOff;
-    DpContext dpctx(w.query, w.catalog, opts);
-    auto check_dp = [&](const char* id, const auto& provider) {
-      OptimizeResult neo = RunDp(dpctx, provider);
-      OptimizeResult old = RunDpLegacy(dpctx, provider);
-      Expect(ApproxEqual(neo.objective, old.objective, kKernelParityRelTol),
-             id,
-             FormatMismatch("RunDp vs RunDpLegacy objective", neo.objective,
-                            old.objective));
-      Expect(PlanEquals(neo.plan, old.plan) &&
-                 neo.candidates_considered == old.candidates_considered &&
-                 neo.cost_evaluations == old.cost_evaluations,
-             id, "RunDp plan/counters diverge from RunDpLegacy");
-    };
-    check_dp("I7:dp_lsc_parity",
-             LscCostProvider{ctx_.model, ctx_.memory.Mean()});
-    if (Stop()) return;
-    check_dp("I7:dp_lec_static_parity",
-             LecStaticCostProvider{ctx_.model, ctx_.memory});
-    if (Stop()) return;
+    // (a) Algorithm D: the §3.6 fast-EC sweeps against the naive triple
+    // enumeration, end to end. Objectives agree within the kernel bound;
+    // plans are compared by re-scoring both under the plan-order
+    // multi-parameter evaluator, not by structure, since true ties may
+    // resolve either way across the two numeric paths.
     {
-      int phases = std::max(w.query.num_tables() - 1, 1);
-      std::vector<Distribution> marginals;
-      marginals.reserve(static_cast<size_t>(phases));
-      Distribution cur = ctx_.memory;
-      for (int t = 0; t < phases; ++t) {
-        marginals.push_back(cur);
-        cur = ctx_.chain.Step(cur);
-      }
-      check_dp("I7:dp_lec_dynamic_parity",
-               LecDynamicCostProvider{ctx_.model, marginals});
+      OptimizerOptions fast_opts;
+      fast_opts.use_fast_ec = true;
+      OptimizerOptions naive_opts;
+      naive_opts.use_fast_ec = false;
+      OptimizeResult fast = OptimizeAlgorithmD(w.query, w.catalog, ctx_.model,
+                                               ctx_.memory, fast_opts);
+      OptimizeResult naive = OptimizeAlgorithmD(
+          w.query, w.catalog, ctx_.model, ctx_.memory, naive_opts);
+      Expect(ApproxEqual(fast.objective, naive.objective, kKernelParityRelTol),
+             "I7:algorithm_d_fast_ec_parity",
+             FormatMismatch("algorithm_d fast-EC vs naive objective",
+                            fast.objective, naive.objective));
+      double fast_rescored = PlanExpectedCostMultiParam(
+          fast.plan, w.query, w.catalog, ctx_.model, ctx_.memory,
+          fast_opts.size_buckets);
+      double naive_rescored = PlanExpectedCostMultiParam(
+          naive.plan, w.query, w.catalog, ctx_.model, ctx_.memory,
+          naive_opts.size_buckets);
+      Expect(ApproxEqual(fast_rescored, naive_rescored, kKernelParityRelTol),
+             "I7:algorithm_d_fast_ec_plan",
+             FormatMismatch("algorithm_d fast-EC vs naive plan, re-scored",
+                            fast_rescored, naive_rescored));
     }
     if (Stop()) return;
-    // (b) Algorithm D: arena/SoA size propagation + threshold-swept fast
-    // EC against the legacy Distribution pipeline. Pinned to the scalar
-    // SIMD tier: this leg isolates the kernel-PIPELINE axis, and its
-    // strict plan equality would otherwise trip on true near-ties that
-    // reassociated vector sums legitimately resolve the other way (the
-    // SIMD axis is leg (d), objective-only with tolerance).
-    {
-      simd::ScopedLevel pin(simd::Level::kScalar);
-      OptimizerOptions kernel_opts;
-      kernel_opts.use_dist_kernels = true;
-      OptimizerOptions legacy_opts;
-      legacy_opts.use_dist_kernels = false;
-      OptimizeResult k = OptimizeAlgorithmD(w.query, w.catalog, ctx_.model,
-                                            ctx_.memory, kernel_opts);
-      OptimizeResult l = OptimizeAlgorithmD(w.query, w.catalog, ctx_.model,
-                                            ctx_.memory, legacy_opts);
-      Expect(ApproxEqual(k.objective, l.objective, kKernelParityRelTol),
-             "I7:algorithm_d_kernel_parity",
-             FormatMismatch("algorithm_d kernel vs legacy objective",
-                            k.objective, l.objective));
-      Expect(PlanEquals(k.plan, l.plan), "I7:algorithm_d_kernel_plan",
-             "algorithm_d kernel path chose a different plan than legacy");
-    }
-    if (Stop()) return;
-    // (c) Operator level: the threshold-swept fast-EC kernels against the
-    // legacy cursor implementation on this case's own distributions.
+    // (b) Operator level: the threshold-swept fast-EC kernels against the
+    // paper's definition EC = Σ C(a, b, m)·Pr(a, b, m) (ExpectedJoinCost)
+    // on this case's own distributions.
     {
       Distribution a =
           w.catalog.table(w.query.table(0)).SizeDistribution();
       Distribution b = w.catalog.table(w.query.table(w.query.num_tables() - 1))
                            .SizeDistribution();
       for (JoinMethod m : kAllJoinMethods) {
-        double kernel_ec = FastExpectedJoinCost(m, a, b, ctx_.memory);
-        double legacy_ec = legacy::FastExpectedJoinCost(m, a, b, ctx_.memory);
-        Expect(ApproxEqual(kernel_ec, legacy_ec, kKernelParityRelTol),
-               "I7:fast_ec_kernel_parity",
-               FormatMismatch("fast-EC kernel vs legacy cursor", kernel_ec,
-                              legacy_ec));
+        double fast_ec = FastExpectedJoinCost(m, a, b, ctx_.memory);
+        double naive_ec = ExpectedJoinCost(ctx_.model, m, a, b, ctx_.memory,
+                                           /*left_sorted=*/false,
+                                           /*right_sorted=*/false);
+        Expect(ApproxEqual(fast_ec, naive_ec, kKernelParityRelTol),
+               "I7:fast_ec_naive_parity",
+               FormatMismatch("fast-EC kernel vs naive enumeration", fast_ec,
+                              naive_ec));
         if (Stop()) return;
       }
     }
     if (Stop()) return;
-    // (d) SIMD dispatch: the whole lec_static DP at the ambient SIMD level
+    // (c) SIMD dispatch: the whole lec_static DP at the ambient SIMD level
     // against the same DP pinned to the scalar twins. Objectives agree
     // within the documented reassociation tolerance (dist/simd.h: Sum/Dot
     // fold lanes in a different order). Plans are deliberately NOT
@@ -624,8 +594,7 @@ class CaseChecker {
     // I9: cost-bounded pruning must be invisible in everything but the
     // work counters — bit-identical objective, structurally identical
     // plan, and no more candidates/evaluations than the unpruned run (per
-    // phase, not just in aggregate). RunDpLegacy, which never prunes,
-    // closes the triangle.
+    // phase, not just in aggregate).
     OptimizerOptions off_opts;
     off_opts.dp_pruning = DpPruning::kOff;
     OptimizerOptions on_opts;
@@ -635,13 +604,11 @@ class CaseChecker {
     auto check = [&](const char* id, const auto& provider) {
       OptimizeResult off = RunDp(off_ctx, provider);
       OptimizeResult on = RunDp(on_ctx, provider);
-      OptimizeResult legacy = RunDpLegacy(on_ctx, provider);
-      Expect(on.objective == off.objective && on.objective == legacy.objective,
-             id,
+      Expect(on.objective == off.objective, id,
              FormatMismatch("pruned vs unpruned objective", on.objective,
                             off.objective));
-      Expect(PlanEquals(on.plan, off.plan) && PlanEquals(on.plan, legacy.plan),
-             id, "pruned DP chose a different plan");
+      Expect(PlanEquals(on.plan, off.plan), id,
+             "pruned DP chose a different plan");
       bool counters_ok =
           on.candidates_considered <= off.candidates_considered &&
           on.cost_evaluations <= off.cost_evaluations &&
@@ -1102,7 +1069,10 @@ class CaseChecker {
     for (QueryPos p = 0; p < n; ++p) {
       double orig = w.catalog.table(w.query.table(p)).pages;
       double pages = std::clamp(std::round(std::log2(orig + 1.0)), 3.0, 12.0);
-      query.AddTable(catalog.AddTable("x" + std::to_string(p), pages));
+      // Two steps, not operator+: GCC 12's -Wrestrict false-fires on it.
+      std::string name = "x";
+      name += std::to_string(p);
+      query.AddTable(catalog.AddTable(name, pages));
     }
     for (int i = 0; i + 1 < n; ++i) {
       query.AddPredicate(i, i + 1, rng.LogUniform(1e-2, 0.05));
@@ -1251,7 +1221,9 @@ class CaseChecker {
             ctx_.workload.catalog.table(ctx_.workload.query.table(p)).pages;
         double pages =
             std::clamp(std::round(std::log2(orig + 1.0)), 3.0, 12.0);
-        raw_q.AddTable(catalog.AddTable("r" + std::to_string(p), pages));
+        std::string name = "r";
+        name += std::to_string(p);
+        raw_q.AddTable(catalog.AddTable(name, pages));
       }
       int dup = static_cast<int>(brng.UniformInt(0, n - 2));
       for (int i = 0; i + 1 < n; ++i) {

@@ -25,22 +25,25 @@
 //      objectives and plans), EC-cache invariant (bit for Algorithm D,
 //      documented reassociation tolerance for A/B), and facade dispatch
 //      matches the direct entry point.
-//   I7 kernel parity      — objectives computed via the arena/SoA kernel
-//      path (dist/kernel.h: sparse-table RunDp, Algorithm D's view pipeline,
-//      the threshold-swept fast-EC) must match the legacy
-//      Distribution-returning path (RunDpLegacy, use_dist_kernels=false,
-//      legacy::FastExpectedJoinCost) within kKernelParityRelTol, and the
-//      DP families must produce structurally identical plans (with
-//      pruning pinned off, so counters compare exactly). Also holds the
-//      SIMD-dispatched lec_static DP to its scalar-pinned twin within the
-//      same tolerance (dist/simd.h reassociation contract).
+//   I7 kernel parity      — the §3.6 linear-time EC sweeps (the
+//      threshold-swept fast-EC kernels of dist/kernel.h) agree with the
+//      paper's EC definition, the naive triple enumeration
+//      ExpectedJoinCost, within kKernelParityRelTol: operator by operator
+//      on the case's own distributions, and end to end through Algorithm
+//      D (use_fast_ec on vs off: objectives within the bound, and the two
+//      chosen plans re-scored equal by PlanExpectedCostMultiParam — plan
+//      structure is not compared, since true ties may resolve either way).
+//      Also holds the SIMD-dispatched lec_static DP to its scalar-pinned
+//      twin within the same tolerance (dist/simd.h reassociation
+//      contract).
 //   I9 pruning parity     — the cost-bounded DP (dp_pruning = kOn) must
 //      return a bit-identical objective and structurally identical plan
-//      to both the unpruned RunDp and RunDpLegacy, for lsc, lec_static
-//      AND lec_dynamic (whose loose floors kOn force-enables), while
-//      examining no MORE work than the unpruned run: candidate and
-//      cost-evaluation counters bounded per phase, pruning counters zero
-//      when disabled.
+//      to the unpruned RunDp, for lsc, lec_static AND lec_dynamic (whose
+//      loose floors kOn force-enables), while examining no MORE work than
+//      the unpruned run: candidate and cost-evaluation counters bounded
+//      per phase, pruning counters zero when disabled. The unpruned DP's
+//      own objectives, plans and counters are pinned by I1 (optimality)
+//      and tests/golden/dp_counters.txt (bits at n = 10, 19, 20).
 //   I8 serde/cache parity — optimizing a request after a serialization
 //      round trip (service/serde.h, both encodings) equals optimizing the
 //      original, bit for bit; a PlanCache miss, the hit it enables, and a

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "exec/environment.h"
+#include "exec/plan_executor.h"
 #include "verify/tolerance.h"
 
 namespace lec::verify {
@@ -197,15 +198,14 @@ EngineReplayStats EngineReplay::Replay(const PlanPtr& plan,
   size_t phases = static_cast<size_t>(std::max(CountJoins(plan), 1));
   double mean = 0;
   double m2 = 0;
+  ExecutePlanOptions exec;
   for (size_t i = 0; i < trials; ++i) {
-    std::vector<double> memory_by_phase;
     if (chain != nullptr) {
-      memory_by_phase = chain->SampleTrajectory(memory, phases, rng);
+      exec.memory_by_phase = chain->SampleTrajectory(memory, phases, rng);
     } else {
-      memory_by_phase.assign(phases, memory.Sample(rng));
+      exec.memory_by_phase.assign(phases, memory.Sample(rng));
     }
-    EngineRunResult run =
-        ExecutePlanOnEngine(plan, query, workload_, memory_by_phase);
+    ExecutionResult run = ExecutePlan(plan, query, workload_, exec);
     double io = static_cast<double>(run.total_io());
     out.min_io = std::min(out.min_io, io);
     out.max_io = std::max(out.max_io, io);

@@ -12,8 +12,8 @@
 // *joint-enumeration* EC below (the rebucketed PlanExpectedCostMultiParam
 // is deliberately approximate; its error is measured, not assumed away).
 //
-// A second entry point replays plans through the executing storage engine
-// (exec/engine_simulator) across sampled memory environments — ground truth
+// A second entry point replays plans through the plan executor
+// (exec/plan_executor.h) across sampled memory environments — ground truth
 // for the model's *shape* (measured page I/O), not its exact values.
 #ifndef LECOPT_VERIFY_MC_VALIDATOR_H_
 #define LECOPT_VERIFY_MC_VALIDATOR_H_

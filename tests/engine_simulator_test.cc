@@ -2,12 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cost/cost_model.h"
 #include "cost/expected_cost.h"
+#include "exec/plan_executor.h"
 #include "optimizer/system_r.h"
 
 namespace lec {
 namespace {
+
+/// Executes `plan` with the given per-phase memory and nothing else
+/// switched on: no drift re-planning, no sample collection.
+ExecutionResult Execute(const PlanPtr& plan, const Query& query,
+                    const EngineWorkload& data,
+                    std::vector<double> memory_by_phase) {
+  ExecutePlanOptions options;
+  options.memory_by_phase = std::move(memory_by_phase);
+  return ExecutePlan(plan, query, data, options);
+}
 
 // A scaled-down Example 1.1: A = 1000 pages, B = 400, selectivity tuned for
 // a small result. sqrt(A) ~ 31.6, sqrt(B) = 20.
@@ -56,11 +70,11 @@ TEST(EngineSimulatorTest, ResultSizeNearExpectation) {
   EngineWorkload data = BuildChainEngineWorkload(w.query, w.catalog, &rng);
   PlanPtr plan = MakeJoin(MakeAccess(0, 200), MakeAccess(1, 100),
                           JoinMethod::kGraceHash, {0}, kUnsorted, 20);
-  EngineRunResult r = ExecutePlanOnEngine(plan, w.query, data, {50});
+  ExecutionResult r = Execute(plan, w.query, data, {50});
   // Expected tuples = sel * |A| * |B| * tuples_per_page = 1e-3*200*100*64.
   double expected = 1e-3 * 200 * 100 * kTuplesPerPage;
-  EXPECT_GT(r.result_tuples, expected * 0.7);
-  EXPECT_LT(r.result_tuples, expected * 1.3);
+  EXPECT_GT(r.result_tuples(), expected * 0.7);
+  EXPECT_LT(r.result_tuples(), expected * 1.3);
 }
 
 TEST(EngineSimulatorTest, AllMethodsProduceSameResultCount) {
@@ -72,8 +86,7 @@ TEST(EngineSimulatorTest, AllMethodsProduceSameResultCount) {
   for (JoinMethod m : kAllJoinMethods) {
     PlanPtr plan =
         MakeJoin(MakeAccess(0, 60), MakeAccess(1, 40), m, {0}, kUnsorted, 2);
-    counts[i++] = ExecutePlanOnEngine(plan, w.query, data, {12})
-                      .result_tuples;
+    counts[i++] = Execute(plan, w.query, data, {12}).result_tuples();
   }
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_EQ(counts[1], counts[2]);
@@ -90,8 +103,8 @@ TEST(EngineSimulatorTest, MeasuredIoCrossesModelThreshold) {
                         JoinMethod::kSortMerge, {0}, 0, 10);
   // sqrt(1000+400 combined run count threshold) — probe well above and
   // well below the model's sqrt(1000) ~ 31.6.
-  EngineRunResult plenty = ExecutePlanOnEngine(sm, w.query, data, {60});
-  EngineRunResult tight = ExecutePlanOnEngine(sm, w.query, data, {12});
+  ExecutionResult plenty = Execute(sm, w.query, data, {60});
+  ExecutionResult tight = Execute(sm, w.query, data, {12});
   // An extra merge pass re-reads and re-writes ~1400 pages.
   EXPECT_GT(tight.total_io(), plenty.total_io() + 2000);
 }
@@ -119,10 +132,10 @@ TEST(EngineSimulatorTest, ThreeTableChainExecutesAnyLeftDeepOrder) {
                         JoinMethod::kGraceHash, {1}, kUnsorted, 1.2);
   PlanPtr bca = MakeJoin(bc, MakeAccess(0, 40), JoinMethod::kGraceHash, {0},
                          kUnsorted, 0.1);
-  EngineRunResult r1 = ExecutePlanOnEngine(abc, q, data, {16});
-  EngineRunResult r2 = ExecutePlanOnEngine(bca, q, data, {16});
+  ExecutionResult r1 = Execute(abc, q, data, {16});
+  ExecutionResult r2 = Execute(bca, q, data, {16});
   // Join results must agree regardless of order.
-  EXPECT_EQ(r1.result_tuples, r2.result_tuples);
+  EXPECT_EQ(r1.result_tuples(), r2.result_tuples());
 }
 
 TEST(EngineSimulatorTest, SortEnforcerChargesIo) {
@@ -132,10 +145,10 @@ TEST(EngineSimulatorTest, SortEnforcerChargesIo) {
   PlanPtr join = MakeJoin(MakeAccess(0, 100), MakeAccess(1, 50),
                           JoinMethod::kGraceHash, {0}, kUnsorted, 2.5);
   PlanPtr sorted = MakeSort(join, 0);
-  EngineRunResult without = ExecutePlanOnEngine(join, w.query, data, {8});
-  EngineRunResult with = ExecutePlanOnEngine(sorted, w.query, data, {8});
+  ExecutionResult without = Execute(join, w.query, data, {8});
+  ExecutionResult with = Execute(sorted, w.query, data, {8});
   EXPECT_GT(with.total_io(), without.total_io());
-  EXPECT_EQ(with.result_tuples, without.result_tuples);
+  EXPECT_EQ(with.result_tuples(), without.result_tuples());
 }
 
 TEST(EngineSimulatorTest, DynamicMemoryByPhase) {
@@ -157,10 +170,8 @@ TEST(EngineSimulatorTest, DynamicMemoryByPhase) {
                          1, 0.1);
   // Phase 0 rich, phase 1 starved vs the reverse: different I/O totals
   // (phase 0 moves more data, so starving it hurts more).
-  EngineRunResult rich_then_poor =
-      ExecutePlanOnEngine(abc, q, data, {32, 3});
-  EngineRunResult poor_then_rich =
-      ExecutePlanOnEngine(abc, q, data, {3, 32});
+  ExecutionResult rich_then_poor = Execute(abc, q, data, {32, 3});
+  ExecutionResult poor_then_rich = Execute(abc, q, data, {3, 32});
   EXPECT_NE(rich_then_poor.total_io(), poor_then_rich.total_io());
   EXPECT_GT(poor_then_rich.total_io(), rich_then_poor.total_io());
 }
@@ -171,7 +182,7 @@ TEST(EngineSimulatorTest, EmptyMemoryVectorRejected) {
   EngineWorkload data = BuildChainEngineWorkload(w.query, w.catalog, &rng);
   PlanPtr plan = MakeJoin(MakeAccess(0, 10), MakeAccess(1, 10),
                           JoinMethod::kGraceHash, {0}, kUnsorted, 1);
-  EXPECT_THROW(ExecutePlanOnEngine(plan, w.query, data, {}),
+  EXPECT_THROW(Execute(plan, w.query, data, {}),
                std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 #include "cost/expected_cost.h"
 #include "dist/builders.h"
 #include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "optimizer/algorithm_c.h"
 #include "optimizer/system_r.h"
 #include "storage/buffer_pool.h"
@@ -102,8 +103,9 @@ TEST(FailureInjectionTest, EngineRejectsMalformedPlans) {
                         JoinMethod::kGraceHash, {}, kUnsorted, 64);
   PlanPtr acb = MakeJoin(ac, MakeAccess(1, 8), JoinMethod::kGraceHash,
                          {0, 1}, kUnsorted, 1);
-  EXPECT_THROW(ExecutePlanOnEngine(acb, q, data, {16}),
-               std::invalid_argument);
+  ExecutePlanOptions options;
+  options.memory_by_phase = {16};
+  EXPECT_THROW(ExecutePlan(acb, q, data, options), std::invalid_argument);
 }
 
 TEST(FailureInjectionTest, ZeroSizedRelationsInCostModel) {

@@ -5,6 +5,7 @@
 #include "dist/builders.h"
 #include "exec/analytic_simulator.h"
 #include "exec/engine_simulator.h"
+#include "exec/plan_executor.h"
 #include "optimizer/algorithm_a.h"
 #include "optimizer/algorithm_b.h"
 #include "optimizer/algorithm_c.h"
@@ -134,8 +135,10 @@ TEST(IntegrationTest, LecBeatsLscOnRealEngine) {
   EngineWorkload data = BuildChainEngineWorkload(q, catalog, &rng);
   auto measure = [&](const PlanPtr& plan) {
     double total = 0;
+    ExecutePlanOptions options;
     for (const Bucket& m : memory.buckets()) {
-      EngineRunResult r = ExecutePlanOnEngine(plan, q, data, {m.value});
+      options.memory_by_phase = {m.value};
+      ExecutionResult r = ExecutePlan(plan, q, data, options);
       total += m.prob * static_cast<double>(r.total_io());
     }
     return total;

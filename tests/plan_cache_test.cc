@@ -98,7 +98,7 @@ TEST_F(PlanCacheTest, SignatureDiscriminatesResultAffectingInputs) {
 
   // Result-affecting optimizer options.
   OptimizeRequest opt_req = req;
-  opt_req.options.use_dist_kernels = !req.options.use_dist_kernels;
+  opt_req.options.use_fast_ec = !req.options.use_fast_ec;
   EXPECT_NE(QuerySignature::Compute(StrategyId::kLecStatic, opt_req).canonical,
             base.canonical);
 
@@ -214,50 +214,11 @@ TEST_F(PlanCacheTest, EvictsLruUnderEntryCap) {
   EXPECT_FALSE(cache.Lookup(gone).has_value());
 }
 
-TEST_F(PlanCacheTest, InvalidateAllLazyAblationDropsOnTouch) {
-  // eager_invalidate_sweep = false is the pre-fix lazy behavior, kept as
-  // an ablation: stale entries keep their slots until touched. This test
-  // pins the lazy path's contract — snapshot exclusion and counter
-  // consistency on a stale touch.
-  PlanCache::Options copts;
-  copts.eager_invalidate_sweep = false;
-  Workload w = MakeWorkload(3);
-  PlanCache cache(copts);
-  OptimizeRequest req = RequestFor(w, &cache);
-  optimizer_.Optimize(StrategyId::kLecStatic, req);
-  QuerySignature sig = QuerySignature::Compute(StrategyId::kLecStatic, req);
-  ASSERT_TRUE(cache.Lookup(sig).has_value());
-  cache.InvalidateAll();
-  // Lazy: the dead entry still occupies its slot until something touches
-  // it — but it is excluded from snapshots, and the reported count says
-  // so (an operator must not be told a warm restart preserved plans that
-  // were just invalidated).
-  EXPECT_EQ(cache.size(), 1u);
-  size_t saved = 99;
-  cache.SaveSnapshot(serde::Encoding::kText, &saved);
-  EXPECT_EQ(saved, 0u);
-  // The stale touch counts BOTH a stale drop and a miss — exactly one of
-  // each — and frees the slot.
-  PlanCache::Stats before = cache.stats();
-  EXPECT_FALSE(cache.Lookup(sig).has_value());
-  PlanCache::Stats after = cache.stats();
-  EXPECT_EQ(after.stale, before.stale + 1);
-  EXPECT_EQ(after.misses, before.misses + 1);
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(cache.size(), 0u);
-  // The miss repopulates at the current epoch.
-  optimizer_.Optimize(StrategyId::kLecStatic, req);
-  EXPECT_TRUE(cache.Lookup(sig).has_value());
-  saved = 0;
-  cache.SaveSnapshot(serde::Encoding::kText, &saved);
-  EXPECT_EQ(saved, 1u);
-}
-
 TEST_F(PlanCacheTest, InvalidateAllEagerSweepFreesCapacityImmediately) {
-  // Regression: with the lazy drop, a cache full of invalidated entries
-  // kept squatting the entry cap — fresh inserts after InvalidateAll
-  // churned through spurious "evictions" of dead entries. The default
-  // eager sweep releases every dead slot inside InvalidateAll itself.
+  // Regression: when InvalidateAll only dropped entries lazily on touch, a
+  // cache full of invalidated entries kept squatting the entry cap — fresh
+  // inserts churned through spurious "evictions" of dead entries.
+  // InvalidateAll now releases every slot itself.
   PlanCache::Options copts;
   copts.max_entries = 3;
   copts.shards = 1;
@@ -275,6 +236,9 @@ TEST_F(PlanCacheTest, InvalidateAllEagerSweepFreesCapacityImmediately) {
   EXPECT_EQ(cache.size(), 0u);  // slots released NOW, not on touch
   EXPECT_EQ(cache.stats().stale, 3u);
   EXPECT_EQ(cache.stats().evictions, 0u);
+  size_t saved = 99;
+  cache.SaveSnapshot(serde::Encoding::kText, &saved);
+  EXPECT_EQ(saved, 0u);  // a warm restart must not revive dropped plans
   // A full working set inserted post-invalidation fits without evicting.
   for (const Workload& w : new_gen) {
     optimizer_.Optimize(StrategyId::kLecStatic, RequestFor(w, &cache));
@@ -287,20 +251,6 @@ TEST_F(PlanCacheTest, InvalidateAllEagerSweepFreesCapacityImmediately) {
                                                     RequestFor(w, nullptr)))
                     .has_value());
   }
-
-  // Contrast: the lazy ablation DOES squat the cap — the same sequence
-  // pays one eviction per dead entry.
-  copts.eager_invalidate_sweep = false;
-  PlanCache lazy(copts);
-  for (const Workload& w : old_gen) {
-    optimizer_.Optimize(StrategyId::kLecStatic, RequestFor(w, &lazy));
-  }
-  lazy.InvalidateAll();
-  EXPECT_EQ(lazy.size(), 3u);  // dead entries still hold their slots
-  for (const Workload& w : new_gen) {
-    optimizer_.Optimize(StrategyId::kLecStatic, RequestFor(w, &lazy));
-  }
-  EXPECT_EQ(lazy.stats().evictions, 3u);
 }
 
 TEST_F(PlanCacheTest, SnapshotRoundTripServesBitIdenticalResults) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "optimizer/algorithm_d.h"
 #include "optimizer/optimizer.h"
 #include "query/generator.h"
 #include "util/rng.h"
@@ -419,6 +420,47 @@ TEST(SerdeServeRequestTest, RoundTripsWithChainAndKnobs) {
     EXPECT_EQ(back.top_c, 5u);
     EXPECT_EQ(back.seed, 99u);
   }
+}
+
+TEST(SerdeServeRequestTest, RetiredDistKernelsSlotIsReadAndIgnored) {
+  // Wire v3 still carries the bool of the retired dist-kernels option.
+  // Writers always put true there; a stream carrying false (from a build
+  // that still had the option) must decode and optimize exactly like the
+  // same request carrying true.
+  ServeRequest request;
+  request.strategy = "algorithm_d";
+  request.workload = MakeTestWorkload(29, 3.0, 2.0, 1.0);
+  request.memory = Distribution({{64, 0.25}, {512, 0.5}, {4096, 0.25}});
+  std::string with_true = ToString(request, Encoding::kText);
+
+  // Text layout: "options <n> <method>*n <avoid_cross> <enforcers>
+  // <size_buckets> <size_mode> <use_fast_ec> <retired slot> ...".
+  size_t line = with_true.find("\noptions ");
+  ASSERT_NE(line, std::string::npos);
+  std::istringstream tokens(with_true.substr(line + 1));
+  std::string tok;
+  tokens >> tok;  // "options"
+  size_t methods = 0;
+  tokens >> methods;
+  for (size_t i = 0; i < methods + 5; ++i) tokens >> tok;
+  size_t slot = line + 1 + static_cast<size_t>(tokens.tellg()) + 1;
+  ASSERT_EQ(with_true.substr(slot, 2), "1 ");
+  std::string with_false = with_true;
+  with_false[slot] = '0';
+
+  ServeRequest a = FromString<ServeRequest>(with_true);
+  ServeRequest b = FromString<ServeRequest>(with_false);
+  // The slot leaves no trace: both re-encode to the writer's bytes.
+  EXPECT_EQ(ToString(b, Encoding::kText), with_true);
+  CostModel model;
+  OptimizeResult ra = OptimizeAlgorithmD(a.workload.query, a.workload.catalog,
+                                         model, a.memory, a.options);
+  OptimizeResult rb = OptimizeAlgorithmD(b.workload.query, b.workload.catalog,
+                                         model, b.memory, b.options);
+  EXPECT_EQ(Bits(ra.objective), Bits(rb.objective));
+  EXPECT_TRUE(PlanEquals(ra.plan, rb.plan));
+  EXPECT_EQ(ra.candidates_considered, rb.candidates_considered);
+  EXPECT_EQ(ra.cost_evaluations, rb.cost_evaluations);
 }
 
 TEST(SerdeServeRequestTest, RejectsUnknownStrategy) {
