@@ -76,19 +76,8 @@ class EcCache {
 
   /// Memoized EC of a join with distributed input sizes (Algorithm D's
   /// workhorse). `compute` is invoked exactly once per distinct key.
-  template <typename F>
-  double JoinEc(JoinMethod method, bool left_sorted, bool right_sorted,
-                const Distribution& left, const Distribution& right,
-                const Distribution& memory, F&& compute) {
-    return JoinEcView(method, left_sorted, right_sorted, left.AsView(),
-                      left.ContentHash(), right.AsView(), right.ContentHash(),
-                      memory.AsView(), memory.ContentHash(),
-                      std::forward<F>(compute));
-  }
-
-  /// View-level twin of JoinEc for the kernel hot path: hashes are passed
-  /// in because the caller (Algorithm D) computes them once per subset /
-  /// once per DP run, not once per candidate.
+  /// Hashes (ViewContentHash) are passed in because the caller computes
+  /// them once per subset / once per DP run, not once per lookup.
   template <typename F>
   double JoinEcView(JoinMethod method, bool left_sorted, bool right_sorted,
                     DistView left, uint64_t left_hash, DistView right,
@@ -126,14 +115,6 @@ class EcCache {
   }
 
   /// Memoized EC of an external sort with distributed size.
-  template <typename F>
-  double SortEc(const Distribution& pages, const Distribution& memory,
-                F&& compute) {
-    return SortEcView(pages.AsView(), pages.ContentHash(), memory.AsView(),
-                      memory.ContentHash(), std::forward<F>(compute));
-  }
-
-  /// View-level twin of SortEc.
   template <typename F>
   double SortEcView(DistView pages, uint64_t pages_hash, DistView memory,
                     uint64_t memory_hash, F&& compute) {

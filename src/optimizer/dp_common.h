@@ -448,16 +448,19 @@ class DpScratch {
 /// threads.
 DpScratch& ThreadLocalDpScratch();
 
-/// Frees this thread's DP memory — the DpScratch above and Algorithm D's
-/// per-subset size tables — and returns the bytes given back. Service
-/// loops call this when a worker goes idle after an unusually large query
-/// (see tools/lec_serve_main.cc).
+/// Frees this thread's DP memory — the DpScratch above, Algorithm D's
+/// size records and its thread-local DistArena — and returns the bytes
+/// given back. Service loops call this when a worker goes idle after an
+/// unusually large query (see tools/lec_serve_main.cc). An arena passed in
+/// through OptimizerOptions::dist_arena belongs to its caller and is not
+/// touched.
 size_t ReleaseThreadLocalDpScratch();
 
 namespace internal {
 
-/// Frees this thread's Algorithm D size tables (optimizer/algorithm_d.cc)
-/// and returns the bytes given back; part of ReleaseThreadLocalDpScratch.
+/// Frees this thread's Algorithm D size records and thread-local arena
+/// (optimizer/algorithm_d.cc) and returns the bytes given back; part of
+/// ReleaseThreadLocalDpScratch.
 size_t ReleaseThreadLocalAlgorithmDTables();
 
 /// Seeds the branch-and-bound incumbent: one left-deep plan built

@@ -142,7 +142,9 @@ Workload GenerateWorkload(const WorkloadOptions& options, Rng* rng) {
   Workload w;
   for (int i = 0; i < options.num_tables; ++i) {
     Table t;
-    t.name = "T" + std::to_string(i);
+    // Two steps, not operator+: GCC 12's -Wrestrict false-fires on it.
+    t.name = "T";
+    t.name += std::to_string(i);
     t.pages = rng->LogUniform(options.min_pages, options.max_pages);
     if (options.table_size_spread > 1.0) {
       t.pages_dist = ThreePointSpread(t.pages, options.table_size_spread);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -66,7 +67,10 @@ struct ChainFixture {
   explicit ChainFixture(std::vector<double> pages, double sel = 0.02,
                         uint64_t seed = 11) {
     for (size_t i = 0; i < pages.size(); ++i) {
-      catalog.AddTable("t" + std::to_string(i), pages[i]);
+      // Two steps, not operator+: GCC 12's -Wrestrict false-fires on it.
+      std::string name = "t";
+      name += std::to_string(i);
+      catalog.AddTable(name, pages[i]);
       query.AddTable(static_cast<TableId>(i));
     }
     for (size_t i = 0; i + 1 < pages.size(); ++i) {

@@ -231,7 +231,9 @@ TEST_F(SerdeGoldenTest, V2SnapshotUpgradesAndKeepsServingHits) {
   // Upgraded entries re-save as EXACT current-version bytes: the upgraded
   // cache and a freshly computed one are indistinguishable on disk.
   std::string fresh = ReadFile(GoldenPath("plan_cache_snapshot_v3.txt"));
-  if (!fresh.empty()) EXPECT_EQ(warmed.SaveSnapshot(), fresh);
+  if (!fresh.empty()) {
+    EXPECT_EQ(warmed.SaveSnapshot(), fresh);
+  }
 
   // And the raw signature upgrade is idempotent: v3 bytes pass through
   // unchanged.

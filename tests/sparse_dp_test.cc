@@ -6,8 +6,10 @@
 //     are pinned bit for bit by tests/golden/dp_counters.txt.)
 //   * DpContext's on-demand SubsetPages and lazy MinSubsetPages equal a
 //     brute-force 2^n reference bit for bit, on every generated shape.
-//   * An n = 20 chain or cycle leaves at most 1 MiB of DP scratch behind.
-//   * ReleaseThreadLocalDpScratch frees Algorithm D's size tables too.
+//   * An n = 20 chain or cycle leaves at most 1 MiB of DP scratch behind,
+//     and Algorithm D's size records and arena stay under 16 MiB there.
+//   * ReleaseThreadLocalDpScratch frees Algorithm D's size records and
+//     arena too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cost/cost_policies.h"
+#include "dist/arena.h"
 #include "dist/builders.h"
 #include "optimizer/algorithm_d.h"
 #include "optimizer/dp_common.h"
@@ -227,16 +230,50 @@ TEST(SparseDpMemoryTest, ReleaseFreesAlgorithmDSizeTables) {
       OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
   size_t dp_bytes = ThreadLocalDpScratch().RetainedBytes();
   EXPECT_GT(dp_bytes, 0u) << "Algorithm D runs on the shared DP scratch";
-  // One view, hash and mean per subset.
-  size_t size_table_bytes =
-      (size_t{1} << 8) * (sizeof(DistView) + sizeof(uint64_t) + sizeof(double));
-  EXPECT_GE(ReleaseThreadLocalDpScratch(), dp_bytes + size_table_bytes);
+  // D's size records and its thread-local arena, which holds at least a
+  // fresh arena's first block, go back with the DP scratch.
+  size_t arena_bytes = DistArena().capacity_doubles() * sizeof(double);
+  EXPECT_GT(ReleaseThreadLocalDpScratch(), dp_bytes + arena_bytes);
   EXPECT_EQ(ReleaseThreadLocalDpScratch(), 0u);
   // The next run re-grows and returns the same result.
   OptimizeResult after =
       OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
   EXPECT_EQ(Bits(after.objective), Bits(before.objective));
   EXPECT_TRUE(PlanEquals(after.plan, before.plan));
+}
+
+// D keeps size records only for the live subsets and the subsets their
+// derivations pass through, so a 20-table chain or cycle no longer pays
+// for all 2^20 subsets (that took ~0.9 GB of arena).
+TEST(SparseDpMemoryTest, AlgorithmDTwentyTablesRetainUnderSixteenMiB) {
+  CostModel model;
+  Distribution memory = UniformBuckets(50, 5000, 9);
+  OptimizerOptions opts;
+  WorkloadOptions spread;
+  spread.selectivity_spread = 3.0;
+  spread.table_size_spread = 2.0;
+  for (JoinGraphShape shape : {JoinGraphShape::kChain,
+                               JoinGraphShape::kCycle}) {
+    Workload w = Generate(shape, 20, 2020, spread);
+    ReleaseThreadLocalDpScratch();
+    OptimizeResult before =
+        OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
+    size_t dp_bytes = ThreadLocalDpScratch().RetainedBytes();
+    // The release returns the size records plus the arena's whole
+    // capacity, which bounds its high water from above.
+    size_t released = ReleaseThreadLocalDpScratch();
+    ASSERT_GE(released, dp_bytes);
+    EXPECT_LE(released - dp_bytes, size_t{16} << 20)
+        << "shape " << static_cast<int>(shape);
+    EXPECT_EQ(ReleaseThreadLocalDpScratch(), 0u);
+    // The next run re-grows and returns the same result.
+    OptimizeResult after =
+        OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
+    EXPECT_EQ(Bits(after.objective), Bits(before.objective));
+    EXPECT_TRUE(PlanEquals(after.plan, before.plan));
+    EXPECT_EQ(after.candidates_considered, before.candidates_considered);
+    EXPECT_EQ(after.cost_evaluations, before.cost_evaluations);
+  }
 }
 
 }  // namespace

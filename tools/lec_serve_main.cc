@@ -498,7 +498,10 @@ class Server {
       double orig = base.catalog.table(base.query.table(p)).pages;
       double pages =
           std::clamp(std::round(std::log2(orig + 1.0)), 3.0, 12.0);
-      query.AddTable(catalog.AddTable("x" + std::to_string(p), pages));
+      // Two steps, not operator+: GCC 12's -Wrestrict false-fires on it.
+      std::string name = "x";
+      name += std::to_string(p);
+      query.AddTable(catalog.AddTable(name, pages));
     }
     for (int i = 0; i + 1 < n; ++i) {
       query.AddPredicate(i, i + 1, rng.LogUniform(1e-2, 0.05));
@@ -726,10 +729,11 @@ int Run(std::istream& in, const Flags& flags) {
         std::printf("invalidated (%zu stale entries swept)\n",
                     before - server.cache().size());
       } else if (word == "trim") {
-        // The DP scratch and Algorithm D's size tables are sized by the
-        // largest query a thread has seen (optimizer/dp_common.h); this
-        // releases the REPL thread's (pipeline workers under --listen keep
-        // theirs until shutdown). The next optimize re-warms.
+        // The DP scratch and Algorithm D's size records and arena are
+        // sized by the largest query a thread has seen
+        // (optimizer/dp_common.h); this releases the REPL thread's
+        // (pipeline workers under --listen keep theirs until shutdown).
+        // The next optimize re-warms.
         std::printf("trimmed %zu bytes of DP scratch\n",
                     lec::ReleaseThreadLocalDpScratch());
       } else if (word == "quit") {
