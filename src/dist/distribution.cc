@@ -64,23 +64,26 @@ Distribution::Distribution(std::vector<Bucket> buckets) {
 }
 
 void Distribution::FinalizeFromBuckets() {
-  values_.reserve(buckets_.size());
-  probs_.reserve(buckets_.size());
-  cum_prob_.reserve(buckets_.size());
-  cum_pe_.reserve(buckets_.size());
+  size_t n = buckets_.size();
+  soa_.resize(4 * n);
+  double* values = soa_.data();
+  double* probs = values + n;
+  double* cum_prob = probs + n;
+  double* cum_pe = cum_prob + n;
   double cp = 0, cpe = 0;
-  for (const Bucket& b : buckets_) {
-    values_.push_back(b.value);
-    probs_.push_back(b.prob);
+  for (size_t i = 0; i < n; ++i) {
+    const Bucket& b = buckets_[i];
+    values[i] = b.value;
+    probs[i] = b.prob;
     cp += b.prob;
     cpe += b.value * b.prob;
-    cum_prob_.push_back(cp);
-    cum_pe_.push_back(cpe);
+    cum_prob[i] = cp;
+    cum_pe[i] = cpe;
   }
   mean_ = cpe;
   // The sum of normalized probabilities is 1 up to rounding; pin the final
   // cumulative so PrLeq(Max) is exactly 1.
-  cum_prob_.back() = 1.0;
+  cum_prob[n - 1] = 1.0;
 
   // FNV-1a over the normalized buckets' bit patterns. Buckets are immutable
   // after construction, so the hash is computed exactly once.
@@ -155,12 +158,12 @@ ptrdiff_t Distribution::UpperIndexLt(double x) const {
 
 double Distribution::PrLeq(double x) const {
   ptrdiff_t i = UpperIndexLeq(x);
-  return i < 0 ? 0.0 : cum_prob_[static_cast<size_t>(i)];
+  return i < 0 ? 0.0 : cum_prob()[static_cast<size_t>(i)];
 }
 
 double Distribution::PrLt(double x) const {
   ptrdiff_t i = UpperIndexLt(x);
-  return i < 0 ? 0.0 : cum_prob_[static_cast<size_t>(i)];
+  return i < 0 ? 0.0 : cum_prob()[static_cast<size_t>(i)];
 }
 
 double Distribution::PrInLeftOpen(double lo, double hi) const {
@@ -170,12 +173,12 @@ double Distribution::PrInLeftOpen(double lo, double hi) const {
 
 double Distribution::PartialExpectationLeq(double x) const {
   ptrdiff_t i = UpperIndexLeq(x);
-  return i < 0 ? 0.0 : cum_pe_[static_cast<size_t>(i)];
+  return i < 0 ? 0.0 : cum_pe()[static_cast<size_t>(i)];
 }
 
 double Distribution::PartialExpectationLt(double x) const {
   ptrdiff_t i = UpperIndexLt(x);
-  return i < 0 ? 0.0 : cum_pe_[static_cast<size_t>(i)];
+  return i < 0 ? 0.0 : cum_pe()[static_cast<size_t>(i)];
 }
 
 double Distribution::PartialExpectationGeq(double x) const {
@@ -297,8 +300,8 @@ double Distribution::CdfDistance(const Distribution& other) const {
     double vb = j < other.buckets_.size()
                     ? other.buckets_[j].value
                     : std::numeric_limits<double>::infinity();
-    if (va <= vb) fa = cum_prob_[i++];
-    if (vb <= va) fb = other.cum_prob_[j++];
+    if (va <= vb) fa = cum_prob()[i++];
+    if (vb <= va) fb = other.cum_prob()[j++];
     sup = std::max(sup, std::fabs(fa - fb));
   }
   return sup;
@@ -307,10 +310,11 @@ double Distribution::CdfDistance(const Distribution& other) const {
 double Distribution::Sample(Rng* rng) const {
   double u = rng->Uniform01();
   // First bucket whose cumulative probability exceeds u.
-  auto it = std::upper_bound(cum_prob_.begin(), cum_prob_.end(), u);
-  size_t i = it == cum_prob_.end()
-                 ? buckets_.size() - 1
-                 : static_cast<size_t>(it - cum_prob_.begin());
+  const double* begin = cum_prob();
+  const double* end = begin + buckets_.size();
+  const double* it = std::upper_bound(begin, end, u);
+  size_t i = it == end ? buckets_.size() - 1
+                       : static_cast<size_t>(it - begin);
   return buckets_[i].value;
 }
 

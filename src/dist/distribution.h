@@ -103,7 +103,7 @@ class Distribution {
   /// Borrowed SoA view over the normalized buckets; valid as long as this
   /// Distribution. Two pointer loads — cheap enough for per-candidate use.
   DistView AsView() const {
-    return {values_.data(), probs_.data(), buckets_.size()};
+    return {soa_.data(), soa_.data() + buckets_.size(), buckets_.size()};
   }
 
   // -- Moments and summary statistics ---------------------------------------
@@ -238,15 +238,17 @@ class Distribution {
   /// buckets_ (shared tail of both construction paths).
   void FinalizeFromBuckets();
 
+  /// cum_prob()[i] = Σ_{j<=i} prob_j; the final entry is clamped to 1.
+  const double* cum_prob() const { return soa_.data() + 2 * buckets_.size(); }
+  /// cum_pe()[i] = Σ_{j<=i} value_j·prob_j.
+  const double* cum_pe() const { return soa_.data() + 3 * buckets_.size(); }
+
   std::vector<Bucket> buckets_;
-  /// SoA mirror of buckets_ backing AsView(); kept because the kernels
-  /// read values and probs as independent streams.
-  std::vector<double> values_;
-  std::vector<double> probs_;
-  /// cum_prob_[i] = Σ_{j<=i} prob_j; the final entry is clamped to 1.
-  std::vector<double> cum_prob_;
-  /// cum_pe_[i] = Σ_{j<=i} value_j·prob_j.
-  std::vector<double> cum_pe_;
+  /// Four n-long arrays in one allocation: the SoA mirror of buckets_
+  /// backing AsView() (values, then probs — the kernels read them as
+  /// independent streams), then cum_prob() and cum_pe(). One block instead
+  /// of four keeps a copy at two allocations.
+  std::vector<double> soa_;
   double mean_ = 0;
   uint64_t hash_ = 0;
 };

@@ -163,7 +163,9 @@ struct OptimizeResult {
   /// Rewrite provenance, stamped by the lec::Optimizer facade when
   /// rewrite_mode is kOn — on cache hits and misses alike, since the
   /// outcome (rewritten query/catalog, position map, per-pass counters) is
-  /// recomputed per call and is what makes the served plan interpretable.
+  /// what makes the served plan interpretable. It is the request's own:
+  /// computed by this call, or, on a plan-cache request-memo hit, the
+  /// equal outcome an earlier byte-identical request computed.
   /// Null when the facade did not rewrite. NOT serialized by serde: the
   /// wire carries only the plan and its counters.
   std::shared_ptr<const rewrite::RewriteOutcome> rewrite;

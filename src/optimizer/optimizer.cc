@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "dist/simd.h"
 #include "optimizer/algorithm_a.h"
@@ -48,7 +49,31 @@ void RequireCore(const OptimizeRequest& r) {
   }
 }
 
-simd::Level LevelForMode(SimdMode mode) {
+/// Lends the calling thread's RequestKey buffer to one Optimize call, so
+/// building the key reuses its capacity instead of allocating. A nested
+/// Optimize on the same thread (a registered strategy may call the
+/// facade) borrows an empty buffer instead of clobbering this one.
+class RequestKeyBuffer {
+ public:
+  RequestKeyBuffer() : bytes(std::exchange(Pool(), std::string())) {}
+  ~RequestKeyBuffer() {
+    if (bytes.capacity() > Pool().capacity()) Pool() = std::move(bytes);
+  }
+  RequestKeyBuffer(const RequestKeyBuffer&) = delete;
+  RequestKeyBuffer& operator=(const RequestKeyBuffer&) = delete;
+
+  std::string bytes;
+
+ private:
+  static std::string& Pool() {
+    thread_local std::string pool;
+    return pool;
+  }
+};
+
+}  // namespace
+
+simd::Level SimdLevelFor(SimdMode mode) {
   switch (mode) {
     case SimdMode::kAuto:
       return simd::ActiveLevel();  // keep whatever is ambient
@@ -61,8 +86,6 @@ simd::Level LevelForMode(SimdMode mode) {
   }
   throw std::invalid_argument("unknown SimdMode");
 }
-
-}  // namespace
 
 const std::vector<StrategyId>& AllStrategies() {
   static const std::vector<StrategyId> all = [] {
@@ -175,30 +198,51 @@ OptimizeResult Optimizer::Optimize(StrategyId id,
   // Pin the SIMD tier for this whole optimization (clamped to what the
   // CPU supports; dist/simd.h). Applied BEFORE the plan-cache lookup so
   // QuerySignature::Compute records the tier the result is computed at.
-  simd::ScopedLevel simd_scope(LevelForMode(request.options.simd_mode));
+  simd::ScopedLevel simd_scope(SimdLevelFor(request.options.simd_mode));
   // The logical rewrite pipeline, also BEFORE the plan-cache lookup: the
   // signature is computed on the rewritten (canonicalized) request, which
   // is what lets relabeled duplicates share one entry. The strategy below
   // then optimizes the rewritten query, so the returned plan is in
   // canonical positions; `outcome` (stamped on the result, hits and misses
   // alike) carries the map back to the caller's labels.
+  //
+  // With a cache attached, a repeat of a raw request skips both the
+  // rewrite and the signature: its RequestKey finds the alias an earlier
+  // identical request left on the canonical entry, and LookupRequest
+  // serves that entry with the stored outcome (PlanCache, "Request memo").
+  // On a memo miss the alias rides along into Lookup/Insert.
   OptimizeRequest effective = request;
   std::shared_ptr<const rewrite::RewriteOutcome> outcome;
+  PlanCache* cache = request.options.plan_cache;
+  RequestKeyBuffer key;
+  std::optional<PlanCache::RequestAlias> alias;
   if (request.options.rewrite_mode == RewriteMode::kOn) {
+    if (cache != nullptr) {
+      uint64_t key_hash = RequestKey::ComputeInto(id, request, &key.bytes);
+      if (std::optional<OptimizeResult> hit =
+              cache->LookupRequest(key.bytes, key_hash)) {
+        hit->elapsed_seconds = timer.Seconds();
+        return *std::move(hit);
+      }
+      alias.emplace();
+      alias->key = key.bytes;
+      alias->key_hash = key_hash;
+    }
     outcome = std::make_shared<rewrite::RewriteOutcome>(
         rewrite::StandardPassManager().Run(*request.query, *request.catalog,
                                            request.options.size_buckets));
     effective.query = &outcome->query;
     effective.catalog = &outcome->catalog;
+    if (alias) alias->rewrite = outcome;
   }
   // The plan-cache fast path. The signature keys the registry's built-in
   // strategy semantics; a caller that Register()s a different function
   // under an existing id must not share a cache across the swap (results
   // would be served from the old semantics — Clear() it).
-  PlanCache* cache = effective.options.plan_cache;
   if (cache != nullptr) {
+    const PlanCache::RequestAlias* attach = alias ? &*alias : nullptr;
     QuerySignature sig = QuerySignature::Compute(id, effective);
-    if (std::optional<OptimizeResult> hit = cache->Lookup(sig)) {
+    if (std::optional<OptimizeResult> hit = cache->Lookup(sig, attach)) {
       // Bit-identical to recompute by the PlanCache contract; only the
       // wall time is the serving call's own.
       hit->rewrite = outcome;
@@ -208,7 +252,7 @@ OptimizeResult Optimizer::Optimize(StrategyId id,
     OptimizeResult result = it->second(effective);
     result.rewrite = outcome;
     result.elapsed_seconds = timer.Seconds();
-    cache->Insert(sig, result);
+    cache->Insert(sig, result, attach);
     return result;
   }
   OptimizeResult result = it->second(effective);

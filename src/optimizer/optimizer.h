@@ -23,6 +23,7 @@
 
 #include "cost/explain.h"
 #include "dist/markov.h"
+#include "dist/simd.h"
 #include "optimizer/dp_common.h"
 #include "optimizer/system_r.h"
 
@@ -42,6 +43,10 @@ enum class StrategyId {
   kRandomized,  ///< iterative improvement under the EC objective
   kSampling,    ///< [SBM93] value-of-information via Algorithm D (§3.6)
 };
+
+/// The SIMD tier Optimize pins for `mode` on the calling thread (before
+/// the clamp to what the CPU supports): kAuto keeps the ambient tier.
+simd::Level SimdLevelFor(SimdMode mode);
 
 /// All strategy ids, in declaration order.
 const std::vector<StrategyId>& AllStrategies();

@@ -1,6 +1,8 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -20,26 +22,20 @@ uint64_t Fnv1a64(std::string_view bytes) {
   return h;
 }
 
-QuerySignature QuerySignature::Compute(StrategyId id,
-                                       const OptimizeRequest& r) {
+namespace {
+
+void RequireCore(const OptimizeRequest& r) {
   if (r.query == nullptr || r.catalog == nullptr || r.model == nullptr ||
       r.memory == nullptr) {
     throw std::invalid_argument(
         "QuerySignature needs query, catalog, model and memory");
   }
-  // Binary encoding: the canonical string is compared, hashed and stored,
-  // never read back, so the densest framing wins — hex-float text here
-  // would put ~60 snprintf calls on the hit path and dominate it (E19
-  // measures the difference as ~2.5x of the whole lookup).
-  std::ostringstream out;
-  serde::Writer w(out, serde::Encoding::kBinary);
-  w.Tag("sig");
-  // Signature schema version, independent of the wire version. v3 differs
-  // from v2 only in carrying the options' rewrite_mode (via the options
-  // fingerprint below) — and in being what a canonicalized (rewrite-on)
-  // request hashes to; UpgradeCanonical lifts v2 bytes to their exact v3
-  // equivalent on snapshot load.
-  w.U32(3);
+}
+
+/// What both keys write ahead of the query: the strategy, the resolved
+/// SIMD tier, the options fingerprint and the cost-model flags.
+void WriteRequestHead(serde::Writer& w, StrategyId id,
+                      const OptimizeRequest& r) {
   w.Str(StrategyName(id));
   // The RESOLVED SIMD tier, not just the requested simd_mode (which rides
   // along inside the options fingerprint below): a kAuto request computes
@@ -61,41 +57,12 @@ QuerySignature QuerySignature::Compute(StrategyId id,
   // Cost-model fingerprint: both knobs change every join cost.
   w.Bool(r.model->options().sorted_input_discount);
   w.Bool(r.model->options().charge_materialization);
+}
 
-  // Statistics, by query position: the scalar page estimate and the full
-  // size distribution (the ContentHash first, then the exact buckets —
-  // the buckets are what make the signature collision-proof under string
-  // comparison; the hash rides along as a cheap prefix discriminator).
-  // Table names and rows_per_page are execution-side cosmetics no
-  // strategy reads.
-  const Query& query = *r.query;
-  w.Tag("tables");
-  w.U64(static_cast<uint64_t>(query.num_tables()));
-  for (QueryPos p = 0; p < query.num_tables(); ++p) {
-    const Table& t = r.catalog->table(query.table(p));
-    w.F64(t.pages);
-    Distribution size = t.SizeDistribution();
-    w.U64(size.ContentHash());
-    serde::Write(w, size);
-  }
-
-  // Predicates with endpoint order normalized: a binary equi-join
-  // predicate is symmetric, and nothing in the optimizer reads the
-  // endpoints directionally, so (a, b) and (b, a) requests share an entry.
-  // The predicate *list* order is deliberately NOT normalized — plan nodes
-  // store predicate indices, and selectivity products reassociate under
-  // reordering (see the header comment).
-  w.Tag("preds");
-  w.U64(static_cast<uint64_t>(query.num_predicates()));
-  for (const JoinPredicate& pred : query.predicates()) {
-    w.I32(std::min(pred.left, pred.right));
-    w.I32(std::max(pred.left, pred.right));
-    w.U64(pred.selectivity.ContentHash());
-    serde::Write(w, pred.selectivity);
-  }
-  w.Bool(query.required_order().has_value());
-  if (query.required_order()) w.I32(*query.required_order());
-
+/// What both keys write after the query: the memory distribution and the
+/// strategy-specific knobs.
+void WriteRequestTail(serde::Writer& w, StrategyId id,
+                      const OptimizeRequest& r) {
   w.Tag("memory");
   w.U64(r.memory->ContentHash());
   serde::Write(w, *r.memory);
@@ -131,9 +98,93 @@ QuerySignature QuerySignature::Compute(StrategyId id,
     default:
       break;
   }
+}
 
+uint64_t HashRequestKey(std::string_view bytes) {
+  // Eight bytes per step (FNV's byte-at-a-time loop costs ~2 us on a
+  // 1.3 KB key), then a splitmix finalizer. Collisions only cost a byte
+  // compare: every index keyed by this hash compares the full bytes.
+  uint64_t h = 0x9e3779b97f4a7c15ull ^ bytes.size();
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = std::rotl(h ^ (word * 0xff51afd7ed558ccdull), 29) *
+        0xc4ceb9fe1a85ec53ull;
+  }
+  uint64_t tail = 0;
+  std::memcpy(&tail, p, n);
+  h ^= tail * 0xff51afd7ed558ccdull;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+QuerySignature QuerySignature::Compute(StrategyId id,
+                                       const OptimizeRequest& r) {
+  RequireCore(r);
+  // Binary encoding: the canonical string is compared, hashed and stored,
+  // never read back, so the densest framing wins — hex-float text here
+  // would put ~60 snprintf calls on the hit path and dominate it (E19
+  // measures the difference as ~2.5x of the whole lookup).
   QuerySignature sig;
-  sig.canonical = std::move(out).str();
+  sig.canonical.reserve(2048);
+  serde::Writer w(&sig.canonical, serde::Encoding::kBinary);
+  w.Tag("sig");
+  // Signature schema version, independent of the wire version. v3 differs
+  // from v2 only in carrying the options' rewrite_mode (via the options
+  // fingerprint below) — and in being what a canonicalized (rewrite-on)
+  // request hashes to; UpgradeCanonical lifts v2 bytes to their exact v3
+  // equivalent on snapshot load.
+  w.U32(3);
+  WriteRequestHead(w, id, r);
+
+  // Statistics, by query position: the scalar page estimate and the full
+  // size distribution (the ContentHash first, then the exact buckets —
+  // the buckets are what make the signature collision-proof under string
+  // comparison; the hash rides along as a cheap prefix discriminator).
+  // Table names and rows_per_page are execution-side cosmetics no
+  // strategy reads.
+  const Query& query = *r.query;
+  w.Tag("tables");
+  w.U64(static_cast<uint64_t>(query.num_tables()));
+  for (QueryPos p = 0; p < query.num_tables(); ++p) {
+    const Table& t = r.catalog->table(query.table(p));
+    w.F64(t.pages);
+    if (t.pages_dist) {
+      w.U64(t.pages_dist->ContentHash());
+      serde::Write(w, *t.pages_dist);
+    } else {
+      Distribution size = Distribution::PointMass(t.pages);
+      w.U64(size.ContentHash());
+      serde::Write(w, size);
+    }
+  }
+
+  // Predicates with endpoint order normalized: a binary equi-join
+  // predicate is symmetric, and nothing in the optimizer reads the
+  // endpoints directionally, so (a, b) and (b, a) requests share an entry.
+  // The predicate *list* order is deliberately NOT normalized — plan nodes
+  // store predicate indices, and selectivity products reassociate under
+  // reordering (see the header comment). Filters are not written: a
+  // rewrite-on request has none left (selection push-down folded them
+  // into the size distributions above), and a rewrite-off request's
+  // strategies never read them.
+  w.Tag("preds");
+  w.U64(static_cast<uint64_t>(query.num_predicates()));
+  for (const JoinPredicate& pred : query.predicates()) {
+    w.I32(std::min(pred.left, pred.right));
+    w.I32(std::max(pred.left, pred.right));
+    w.U64(pred.selectivity.ContentHash());
+    serde::Write(w, pred.selectivity);
+  }
+  w.Bool(query.required_order().has_value());
+  if (query.required_order()) w.I32(*query.required_order());
+
+  WriteRequestTail(w, id, r);
   sig.hash = Fnv1a64(sig.canonical);
 
   // Collect the distribution hashes the stream above serialized (size
@@ -141,9 +192,13 @@ QuerySignature QuerySignature::Compute(StrategyId id,
   // deduplicated: one query can consume the same distribution at several
   // positions, and a single reverse-index link per hash is enough to find
   // the entry.
+  sig.dist_hashes.reserve(static_cast<size_t>(query.num_tables()) +
+                          query.predicates().size() + 1);
   for (QueryPos p = 0; p < query.num_tables(); ++p) {
+    const Table& t = r.catalog->table(query.table(p));
     sig.dist_hashes.push_back(
-        r.catalog->table(query.table(p)).SizeDistribution().ContentHash());
+        t.pages_dist ? t.pages_dist->ContentHash()
+                     : Distribution::PointMass(t.pages).ContentHash());
   }
   for (const JoinPredicate& pred : query.predicates()) {
     sig.dist_hashes.push_back(pred.selectivity.ContentHash());
@@ -156,6 +211,23 @@ QuerySignature QuerySignature::Compute(StrategyId id,
   return sig;
 }
 
+uint64_t RequestKey::ComputeInto(StrategyId id, const OptimizeRequest& r,
+                                 std::string* out) {
+  RequireCore(r);
+  out->clear();
+  serde::Writer w(out, serde::Encoding::kBinary);
+  w.Tag("reqkey");
+  WriteRequestHead(w, id, r);
+  // The raw inputs of the rewrite passes, exactly as given: the whole
+  // catalog (selection push-down appends to a copy of it, and the outcome
+  // carries that copy) and the query with its predicate list order,
+  // endpoint direction and filters.
+  serde::Write(w, *r.catalog);
+  serde::Write(w, *r.query);
+  WriteRequestTail(w, id, r);
+  return HashRequestKey(*out);
+}
+
 std::vector<uint64_t> QuerySignature::ExtractDistHashes(
     std::string_view canonical) {
   // The canonical string is a complete serde stream (Writer's constructor
@@ -164,8 +236,7 @@ std::vector<uint64_t> QuerySignature::ExtractDistHashes(
   // version-aware) up to the memory section, collecting each ContentHash
   // that Compute wrote ahead of its distribution's buckets; the
   // strategy-knob tail is irrelevant here and left unread.
-  std::istringstream in{std::string(canonical)};
-  serde::Reader r(in);
+  serde::Reader r(canonical);
   r.ExpectTag("sig");
   uint32_t version = r.U32();
   if (version != 2 && version != 3) {
@@ -203,8 +274,7 @@ std::vector<uint64_t> QuerySignature::ExtractDistHashes(
 }
 
 std::string QuerySignature::UpgradeCanonical(std::string_view canonical) {
-  std::istringstream in{std::string(canonical)};
-  serde::Reader r(in);
+  serde::Reader r(canonical);
   r.ExpectTag("sig");
   uint32_t schema = r.U32();
   if (schema == 3) return std::string(canonical);
@@ -223,8 +293,8 @@ std::string QuerySignature::UpgradeCanonical(std::string_view canonical) {
   bool sorted_input_discount = r.Bool();
   bool charge_materialization = r.Bool();
 
-  std::ostringstream out;
-  serde::Writer w(out, r.encoding());
+  std::string out;
+  serde::Writer w(&out, r.encoding());
   w.Tag("sig");
   w.U32(3);
   w.Str(strategy_name);
@@ -290,21 +360,65 @@ std::string QuerySignature::UpgradeCanonical(std::string_view canonical) {
     default:
       break;
   }
-  return std::move(out).str();
+  return out;
 }
 
 PlanCache::PlanCache() : PlanCache(Options{}) {}
 
 PlanCache::PlanCache(Options options)
     : shards_(static_cast<size_t>(std::max(options.shards, 1))),
+      memo_(shards_.size()),
       max_entries_(std::max<size_t>(options.max_entries, 1)) {
   per_shard_cap_ =
       std::max<size_t>((max_entries_ + shards_.size() - 1) / shards_.size(),
                        1);
 }
 
+void PlanCache::UnlinkAlias(const std::shared_ptr<Alias>& alias) {
+  alias->live = false;
+  AliasIndex& index = IndexFor(alias->key_hash);
+  std::lock_guard<std::mutex> lock(index.mu);
+  auto [lo, hi] = index.by_key.equal_range(alias->key_hash);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == alias) {
+      index.by_key.erase(it);
+      return;
+    }
+  }
+}
+
+void PlanCache::AttachLocked(Shard& shard,
+                             std::list<Entry>::iterator entry_it,
+                             const RequestAlias& alias) {
+  {
+    AliasIndex& index = IndexFor(alias.key_hash);
+    std::lock_guard<std::mutex> lock(index.mu);
+    auto [lo, hi] = index.by_key.equal_range(alias.key_hash);
+    for (auto it = lo; it != hi; ++it) {
+      // Equal keys resolve to equal signatures, so an attached twin is
+      // on this very entry (a racing duplicate got here first).
+      if (it->second->key == alias.key) return;
+    }
+    auto node = std::make_shared<Alias>();
+    node->key = std::string(alias.key);
+    node->key_hash = alias.key_hash;
+    node->rewrite = alias.rewrite;
+    node->shard = &shard;
+    node->entry = entry_it;
+    index.by_key.emplace(alias.key_hash, node);
+    entry_it->aliases.push_back(std::move(node));
+  }
+  if (entry_it->aliases.size() > kMaxAliasesPerEntry) {
+    UnlinkAlias(entry_it->aliases.front());
+    entry_it->aliases.erase(entry_it->aliases.begin());
+  }
+}
+
 void PlanCache::EraseLocked(Shard& shard,
                             std::list<Entry>::iterator entry_it) {
+  for (const std::shared_ptr<Alias>& alias : entry_it->aliases) {
+    UnlinkAlias(alias);
+  }
   for (uint64_t h : entry_it->dist_hashes) {
     auto [lo, hi] = shard.by_dist.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
@@ -318,7 +432,19 @@ void PlanCache::EraseLocked(Shard& shard,
   shard.lru.erase(entry_it);
 }
 
-std::optional<OptimizeResult> PlanCache::Lookup(const QuerySignature& sig) {
+void PlanCache::ClearLocked(Shard& shard) {
+  for (Entry& entry : shard.lru) {
+    for (const std::shared_ptr<Alias>& alias : entry.aliases) {
+      UnlinkAlias(alias);
+    }
+  }
+  shard.index.clear();
+  shard.by_dist.clear();
+  shard.lru.clear();
+}
+
+std::optional<OptimizeResult> PlanCache::Lookup(const QuerySignature& sig,
+                                                const RequestAlias* alias) {
   Shard& shard = ShardFor(sig.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(std::string_view(sig.canonical));
@@ -329,30 +455,74 @@ std::optional<OptimizeResult> PlanCache::Lookup(const QuerySignature& sig) {
   auto entry_it = it->second;
   shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
   ++shard.stats.hits;
+  if (alias != nullptr) AttachLocked(shard, entry_it, *alias);
   return entry_it->result;
 }
 
+std::optional<OptimizeResult> PlanCache::LookupRequest(std::string_view key,
+                                                       uint64_t key_hash) {
+  std::shared_ptr<Alias> alias;
+  {
+    AliasIndex& index = IndexFor(key_hash);
+    std::lock_guard<std::mutex> lock(index.mu);
+    auto [lo, hi] = index.by_key.equal_range(key_hash);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second->key == key) {
+        alias = it->second;
+        break;
+      }
+    }
+  }
+  if (alias == nullptr) return std::nullopt;
+  // The index lock is released before the shard lock is taken (lock
+  // order), so the entry may have been dropped in between: `live` says.
+  Shard& shard = *alias->shard;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (!alias->live) return std::nullopt;
+  // Exactly Lookup's hit accounting, so the memo is invisible in hits,
+  // misses and LRU order.
+  shard.lru.splice(shard.lru.begin(), shard.lru, alias->entry);
+  ++shard.stats.hits;
+  ++shard.stats.rewrites_skipped;
+  OptimizeResult result = alias->entry->result;
+  result.rewrite = alias->rewrite;
+  return result;
+}
+
 void PlanCache::Insert(const QuerySignature& sig,
-                       const OptimizeResult& result) {
+                       const OptimizeResult& result,
+                       const RequestAlias* alias) {
   Shard& shard = ShardFor(sig.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(std::string_view(sig.canonical));
   if (it != shard.index.end()) {
     // Same canonical bytes imply the same dist_hashes, so the existing
-    // reverse-index links stay correct.
+    // reverse-index links stay correct. The aliases go with the old
+    // result.
     auto entry_it = it->second;
     entry_it->result = result;
+    entry_it->result.rewrite = nullptr;
+    for (const std::shared_ptr<Alias>& old : entry_it->aliases) {
+      UnlinkAlias(old);
+    }
+    entry_it->aliases.clear();
     shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
     ++shard.stats.insertions;
+    if (alias != nullptr) AttachLocked(shard, entry_it, *alias);
     return;
   }
-  shard.lru.push_front(Entry{sig.canonical, result, sig.dist_hashes});
+  // The entry keeps no RewriteOutcome: it serves every labeling of the
+  // canonical request, and each labeling's outcome lives on its alias (or
+  // is stamped by the caller on a canonical hit).
+  shard.lru.push_front(Entry{sig.canonical, result, sig.dist_hashes, {}});
+  shard.lru.front().result.rewrite = nullptr;
   shard.index[std::string_view(shard.lru.front().canonical)] =
       shard.lru.begin();
   for (uint64_t h : shard.lru.front().dist_hashes) {
     shard.by_dist.emplace(h, shard.lru.begin());
   }
   ++shard.stats.insertions;
+  if (alias != nullptr) AttachLocked(shard, shard.lru.begin(), *alias);
   while (shard.lru.size() > per_shard_cap_) {
     EraseLocked(shard, std::prev(shard.lru.end()));
     ++shard.stats.evictions;
@@ -363,9 +533,7 @@ void PlanCache::InvalidateAll() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.stats.stale += shard.lru.size();
-    shard.index.clear();
-    shard.by_dist.clear();
-    shard.lru.clear();
+    ClearLocked(shard);
   }
 }
 
@@ -394,6 +562,7 @@ PlanCache::Stats PlanCache::stats() const {
     total.evictions += shard.stats.evictions;
     total.stale += shard.stats.stale;
     total.invalidated += shard.stats.invalidated;
+    total.rewrites_skipped += shard.stats.rewrites_skipped;
   }
   return total;
 }
@@ -407,12 +576,19 @@ size_t PlanCache::size() const {
   return n;
 }
 
+size_t PlanCache::aliases() const {
+  size_t n = 0;
+  for (const AliasIndex& index : memo_) {
+    std::lock_guard<std::mutex> lock(index.mu);
+    n += index.by_key.size();
+  }
+  return n;
+}
+
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.index.clear();
-    shard.by_dist.clear();
-    shard.lru.clear();
+    ClearLocked(shard);
   }
 }
 
@@ -433,8 +609,8 @@ std::string PlanCache::SaveSnapshot(serde::Encoding encoding,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   if (entries_out != nullptr) *entries_out = entries.size();
 
-  std::ostringstream out;
-  serde::Writer w(out, encoding);
+  std::string out;
+  serde::Writer w(&out, encoding);
   w.Tag("plan_cache_snapshot");
   w.U64(entries.size());
   for (const auto& [canonical, result] : entries) {
@@ -442,12 +618,11 @@ std::string PlanCache::SaveSnapshot(serde::Encoding encoding,
     serde::Write(w, result);
   }
   w.Tag("end");
-  return std::move(out).str();
+  return out;
 }
 
 size_t PlanCache::LoadSnapshot(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  serde::Reader r(in);
+  serde::Reader r(bytes);
   r.ExpectTag("plan_cache_snapshot");
   uint64_t count = r.U64();
   if (count > (uint64_t{1} << 32)) {

@@ -36,6 +36,24 @@
 // reassociating selectivity products — breaking the bit-identity contract
 // below. See DESIGN.md, "Plan cache & serialization" and "Rewrite passes".
 //
+// Request memo: with rewrite_mode on, the facade would otherwise re-run
+// every rewrite pass and re-sign the rewritten query before each lookup,
+// even for a request it served a moment ago. So each entry also keeps up
+// to kMaxAliasesPerEntry ALIASES: the RequestKey of a raw (pre-rewrite)
+// request that resolved to the entry, plus that request's RewriteOutcome.
+// Optimize builds the raw key first; LookupRequest finds its alias (hash,
+// then a full byte compare, like the canonical index) and serves the entry
+// with the stored outcome, skipping the rewrite and the signature. The
+// memo hit is accounted exactly like a canonical Lookup hit (LRU refresh,
+// hits + 1), so hits, misses, evictions and LRU order are the same request
+// for request with or without the memo; stats().rewrites_skipped counts
+// the memo hits among the hits. Aliases hang off their entry: every path
+// that drops an entry (eviction, InvalidateDistribution, InvalidateAll,
+// Clear) drops them with it, and an Insert that replaces an entry's
+// result (a racing duplicate, LoadSnapshot) replaces its aliases too, so
+// the memo is never larger than kMaxAliasesPerEntry x the cache. An alias
+// holds only its raw key and its outcome — never the canonical bytes.
+//
 // Correctness contract (pinned by tests/plan_cache_test.cc and fuzz
 // invariant I8): a cache hit returns an OptimizeResult BIT-IDENTICAL to
 // recomputing — same objective bits, structurally equal plan, same
@@ -47,7 +65,11 @@
 // Concurrency: lookups and inserts take one shard mutex each (the shard is
 // chosen by signature hash), so the cache is safe to share across the
 // batch driver's workers — unlike the EcCache, which is per-worker by
-// contract. Eviction is per-shard LRU under a global entry cap.
+// contract. Eviction is per-shard LRU under a global entry cap. The alias
+// index is sharded by raw-key hash under its own leaf mutexes: a path that
+// holds a shard mutex may take one alias-index mutex, never the reverse
+// (LookupRequest releases the index mutex before it takes the entry's
+// shard mutex, and re-checks that the alias is still attached).
 //
 // Invalidation — the serving seam for "statistics drifted, stop trusting
 // old plans" — comes in two grains. InvalidateDistribution(hash) is the
@@ -69,6 +91,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -119,6 +142,23 @@ struct QuerySignature {
 /// FNV-1a, the signature/shard hash (also used by the snapshot loader).
 uint64_t Fnv1a64(std::string_view bytes);
 
+/// The memo key of one raw (pre-rewrite) request: binary serde bytes of
+/// every input of StandardPassManager().Run and QuerySignature::Compute —
+/// the strategy, the resolved SIMD tier, the options fingerprint, the
+/// cost-model flags, the whole catalog (the RewriteOutcome copies it), the
+/// query as given (tables, predicates in list order with their direction,
+/// filters, required order), the memory distribution and the strategy
+/// knobs. Two requests with equal keys rewrite to equal outcomes and sign
+/// to equal signatures. Also the pipeline's coalescing key.
+struct RequestKey {
+  /// Clears `*out`, appends the key bytes (reusing its capacity) and
+  /// returns their hash: a word-at-a-time mix, not FNV, since it keys only
+  /// process-local indexes, never shards or snapshots. Same preconditions
+  /// and exceptions as QuerySignature::Compute.
+  static uint64_t ComputeInto(StrategyId id, const OptimizeRequest& request,
+                              std::string* out);
+};
+
 class PlanCache {
  public:
   struct Options {
@@ -139,9 +179,23 @@ class PlanCache {
     size_t stale = 0;
     /// Entries dropped by InvalidateDistribution (precise invalidation).
     size_t invalidated = 0;
+    /// Hits served through a request alias, which skipped the rewrite
+    /// passes and the signature. Always <= hits.
+    size_t rewrites_skipped = 0;
 
     size_t lookups() const { return hits + misses; }
   };
+
+  /// A raw request's alias, handed to Lookup/Insert by the facade on a
+  /// memo miss so the entry the request resolves to remembers it.
+  struct RequestAlias {
+    std::string_view key;  ///< RequestKey bytes (copied on attach)
+    uint64_t key_hash = 0;
+    std::shared_ptr<const rewrite::RewriteOutcome> rewrite;
+  };
+
+  /// Aliases one entry keeps; attaching another drops its oldest.
+  static constexpr size_t kMaxAliasesPerEntry = 8;
 
   PlanCache();  // default Options
   explicit PlanCache(Options options);
@@ -149,11 +203,23 @@ class PlanCache {
   /// The cached result for `sig`, or nullopt. A hit refreshes LRU
   /// recency. The returned result shares the immutable plan tree with the
   /// cache — safe, plan nodes are never mutated.
-  std::optional<OptimizeResult> Lookup(const QuerySignature& sig);
+  /// With `alias`, a hit also attaches it to the entry.
+  std::optional<OptimizeResult> Lookup(const QuerySignature& sig,
+                                       const RequestAlias* alias = nullptr);
 
   /// Inserts (or refreshes) the result for `sig`, evicting the shard's LRU
-  /// tail if the cap is exceeded.
-  void Insert(const QuerySignature& sig, const OptimizeResult& result);
+  /// tail if the cap is exceeded. A refresh replaces the entry's aliases;
+  /// `alias`, if given, becomes the entry's one alias.
+  void Insert(const QuerySignature& sig, const OptimizeResult& result,
+              const RequestAlias* alias = nullptr);
+
+  /// The memo path: the entry some earlier request with these RequestKey
+  /// bytes resolved to, served as a Lookup hit with that request's
+  /// RewriteOutcome stamped on `rewrite`. Nullopt — counting nothing —
+  /// when no live alias matches; the caller then rewrites, signs and
+  /// calls Lookup as usual.
+  std::optional<OptimizeResult> LookupRequest(std::string_view key,
+                                              uint64_t key_hash);
 
   /// Drops every entry, shard by shard under each shard's lock, counting
   /// them in stats().stale. An Insert racing the call lands either before
@@ -174,6 +240,8 @@ class PlanCache {
   /// Aggregated over shards (takes each shard lock briefly).
   Stats stats() const;
   size_t size() const;
+  /// Request aliases attached across all entries.
+  size_t aliases() const;
   size_t max_entries() const { return max_entries_; }
   void Clear();
 
@@ -198,6 +266,9 @@ class PlanCache {
   size_t LoadSnapshotFile(const std::string& path);
 
  private:
+  struct Shard;
+  struct Alias;
+
   struct Entry {
     std::string canonical;
     OptimizeResult result;
@@ -205,6 +276,27 @@ class PlanCache {
     /// entry's signature consumed — the keys under which it is linked in
     /// the shard's reverse index.
     std::vector<uint64_t> dist_hashes;
+    /// Oldest first; at most kMaxAliasesPerEntry.
+    std::vector<std::shared_ptr<Alias>> aliases;
+  };
+
+  /// One attached request alias. `key`, `key_hash`, `rewrite` and `shard`
+  /// are immutable; `live` and `entry` are guarded by shard->mu. Shared
+  /// between its entry and the alias index, so a LookupRequest that found
+  /// it can still read `live` after the entry is gone.
+  struct Alias {
+    std::string key;
+    uint64_t key_hash = 0;
+    std::shared_ptr<const rewrite::RewriteOutcome> rewrite;
+    Shard* shard = nullptr;
+    bool live = true;
+    std::list<Entry>::iterator entry;
+  };
+
+  /// Raw-key hash -> alias, one of memo_.size() leaf-locked slices.
+  struct AliasIndex {
+    mutable std::mutex mu;
+    std::unordered_multimap<uint64_t, std::shared_ptr<Alias>> by_key;
   };
 
   /// One lock shard: LRU list (front = most recent) plus an index into it.
@@ -229,11 +321,26 @@ class PlanCache {
     return shards_[hash % shards_.size()];
   }
 
-  /// Erases the entry from lru, index and by_dist (caller holds shard.mu;
-  /// counter accounting is the caller's).
-  static void EraseLocked(Shard& shard, std::list<Entry>::iterator entry_it);
+  AliasIndex& IndexFor(uint64_t key_hash) {
+    return memo_[key_hash % memo_.size()];
+  }
+
+  /// Erases the entry and its aliases from lru, index, by_dist and the
+  /// alias index (caller holds shard.mu; counter accounting is the
+  /// caller's).
+  void EraseLocked(Shard& shard, std::list<Entry>::iterator entry_it);
+  /// Drops the whole shard (caller holds shard.mu).
+  void ClearLocked(Shard& shard);
+  /// Detaches one alias and unlinks it from the alias index (caller holds
+  /// its shard's mu).
+  void UnlinkAlias(const std::shared_ptr<Alias>& alias);
+  /// Attaches `alias` to the entry unless its key is already attached
+  /// (caller holds shard.mu).
+  void AttachLocked(Shard& shard, std::list<Entry>::iterator entry_it,
+                    const RequestAlias& alias);
 
   std::vector<Shard> shards_;
+  std::vector<AliasIndex> memo_;
   size_t max_entries_;
   size_t per_shard_cap_;
 };

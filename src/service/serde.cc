@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -45,58 +45,73 @@ const char kBinaryWord[] = "binary";
 // Writer
 // ---------------------------------------------------------------------------
 
-Writer::Writer(std::ostream& out, Encoding encoding)
+Writer::Writer(std::string* out, Encoding encoding)
     : out_(out), encoding_(encoding) {
   // The header is textual in BOTH encodings ("lecser text " / "lecser
   // binary ") so a Reader — or a human with `head -c 16` — can sniff the
   // encoding before committing to a token grammar.
-  out_ << kMagic << ' '
-       << (encoding_ == Encoding::kText ? kTextWord : kBinaryWord) << ' ';
+  std::string_view word =
+      encoding_ == Encoding::kText ? kTextWord : kBinaryWord;
+  Put(kMagic, sizeof(kMagic) - 1);
+  Put(' ');
+  Put(word.data(), word.size());
+  Put(' ');
   U32(kFormatVersion);
+}
+
+template <typename Int>
+void Writer::PutDecimal(Int v) {
+  // std::to_chars prints exactly what `ostream << v` printed under the
+  // classic locale when this wrote to a stream, so old streams still
+  // match byte for byte.
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf) - 1, v).ptr;
+  *end++ = ' ';
+  Put(buf, static_cast<size_t>(end - buf));
 }
 
 void Writer::Tag(std::string_view tag) {
   if (encoding_ == Encoding::kText) {
-    out_ << '\n' << tag << ' ';
+    Put('\n');
+    Put(tag.data(), tag.size());
+    Put(' ');
   } else {
-    char len = static_cast<char>(tag.size());
-    out_.write(&len, 1);
-    out_.write(tag.data(), static_cast<std::streamsize>(tag.size()));
+    Put(static_cast<char>(tag.size()));
+    Put(tag.data(), tag.size());
   }
 }
 
 void Writer::Bool(bool v) {
   if (encoding_ == Encoding::kText) {
-    out_ << (v ? '1' : '0') << ' ';
+    Put(v ? "1 " : "0 ", 2);
   } else {
-    char b = v ? 1 : 0;
-    out_.write(&b, 1);
+    Put(static_cast<char>(v ? 1 : 0));
   }
 }
 
 void Writer::U64(uint64_t v) {
   if (encoding_ == Encoding::kText) {
-    out_ << v << ' ';
+    PutDecimal(v);
   } else {
     char buf[8];
     for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-    out_.write(buf, 8);
+    Put(buf, 8);
   }
 }
 
 void Writer::U32(uint32_t v) {
   if (encoding_ == Encoding::kText) {
-    out_ << v << ' ';
+    PutDecimal(v);
   } else {
     char buf[4];
     for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-    out_.write(buf, 4);
+    Put(buf, 4);
   }
 }
 
 void Writer::I32(int32_t v) {
   if (encoding_ == Encoding::kText) {
-    out_ << v << ' ';
+    PutDecimal(v);
   } else {
     U32(static_cast<uint32_t>(v));
   }
@@ -108,15 +123,16 @@ void Writer::F64(double v) {
     // parses it back to the identical bit pattern, including -0.0. The
     // non-finite specials get fixed spellings (glibc would print "inf" /
     // "nan" anyway; pinning them keeps golden files platform-stable).
+    char buf[64];
+    int n;
     if (std::isnan(v)) {
-      out_ << "nan ";
+      n = std::snprintf(buf, sizeof(buf), "nan ");
     } else if (std::isinf(v)) {
-      out_ << (v > 0 ? "inf " : "-inf ");
+      n = std::snprintf(buf, sizeof(buf), v > 0 ? "inf " : "-inf ");
     } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%a", v);
-      out_ << buf << ' ';
+      n = std::snprintf(buf, sizeof(buf), "%a ", v);
     }
+    Put(buf, static_cast<size_t>(n));
   } else {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -127,30 +143,35 @@ void Writer::F64(double v) {
 
 void Writer::Str(std::string_view s) {
   U64(s.size());
-  out_.write(s.data(), static_cast<std::streamsize>(s.size()));
-  if (encoding_ == Encoding::kText) out_ << ' ';
+  Put(s.data(), s.size());
+  if (encoding_ == Encoding::kText) Put(' ');
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-Reader::Reader(std::istream& in, MagicState magic) : in_(in) {
+Reader::Reader(std::istream& in, MagicState magic) : in_(&in) {
+  Header(magic);
+}
+
+Reader::Reader(std::string_view bytes) : bytes_(bytes) { Header(kReadHeader); }
+
+void Reader::Header(MagicState magic) {
+  std::string word;
   if (magic == kReadHeader) {
-    std::string word;
-    if (!(in_ >> word) || word != kMagic) {
+    if (!Word(&word) || word != kMagic) {
       Fail("bad magic: expected \"" + std::string(kMagic) + "\"");
     }
   }
-  std::string enc;
-  if (!(in_ >> enc)) Fail("truncated header");
-  if (enc == kTextWord) {
+  if (!Word(&word)) Fail("truncated header");
+  if (word == kTextWord) {
     encoding_ = Encoding::kText;
-  } else if (enc == kBinaryWord) {
+  } else if (word == kBinaryWord) {
     encoding_ = Encoding::kBinary;
-    in_.get();  // the single separator byte after the encoding word
+    SkipByte();  // the single separator byte after the encoding word
   } else {
-    Fail("unknown encoding \"" + enc + "\"");
+    Fail("unknown encoding \"" + word + "\"");
   }
   version_ = U32();
   if (version_ < kMinReadVersion || version_ > kFormatVersion) {
@@ -165,22 +186,66 @@ void Reader::Fail(const std::string& what) const {
                    std::to_string(tokens_read_) + " tokens)");
 }
 
+bool Reader::Word(std::string* out) {
+  if (in_ != nullptr) return static_cast<bool>(*in_ >> *out);
+  // What `istream >> std::string` does under the classic locale: skip
+  // whitespace, then take bytes up to the next whitespace.
+  auto space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+  };
+  while (pos_ < bytes_.size() && space(bytes_[pos_])) ++pos_;
+  size_t start = pos_;
+  while (pos_ < bytes_.size() && !space(bytes_[pos_])) ++pos_;
+  if (pos_ == start) return false;
+  out->assign(bytes_.data() + start, pos_ - start);
+  return true;
+}
+
 std::string Reader::NextToken() {
   std::string tok;
-  if (!(in_ >> tok)) Fail("unexpected end of input");
+  if (!Word(&tok)) Fail("unexpected end of input");
   ++tokens_read_;
   return tok;
 }
 
 void Reader::ReadRaw(char* buf, size_t n) {
-  in_.read(buf, static_cast<std::streamsize>(n));
-  if (static_cast<size_t>(in_.gcount()) != n) {
-    Fail("unexpected end of input");
+  if (in_ != nullptr) {
+    in_->read(buf, static_cast<std::streamsize>(n));
+    if (static_cast<size_t>(in_->gcount()) != n) {
+      Fail("unexpected end of input");
+    }
+  } else {
+    if (bytes_.size() - pos_ < n) Fail("unexpected end of input");
+    std::memcpy(buf, bytes_.data() + pos_, n);
+    pos_ += n;
   }
   ++tokens_read_;
 }
 
+void Reader::SkipByte() {
+  if (in_ != nullptr) {
+    in_->get();
+  } else if (pos_ < bytes_.size()) {
+    ++pos_;
+  }
+}
+
 void Reader::ExpectTag(std::string_view tag) {
+  if (encoding_ == Encoding::kBinary) {
+    // Compared in place: no string per tag on the decode path.
+    char len;
+    ReadRaw(&len, 1);
+    if (len <= 0) Fail("bad tag length");
+    char got[128];
+    ReadRaw(got, static_cast<size_t>(len));
+    std::string_view view(got, static_cast<size_t>(len));
+    if (view != tag) {
+      Fail("expected tag \"" + std::string(tag) + "\", got \"" +
+           std::string(view) + "\"");
+    }
+    return;
+  }
   std::string got = ReadTag();
   if (got != tag) {
     Fail("expected tag \"" + std::string(tag) + "\", got \"" + got + "\"");
@@ -287,7 +352,16 @@ double Reader::F64() {
 
 std::string Reader::Str() {
   uint64_t len = U64();
-  if (encoding_ == Encoding::kText) in_.get();  // the single separator
+  if (encoding_ == Encoding::kText) SkipByte();  // the single separator
+  if (in_ == nullptr) {
+    // In memory the length is checked against what is there before any
+    // allocation.
+    if (bytes_.size() - pos_ < len) Fail("unexpected end of input");
+    std::string s(bytes_.substr(pos_, static_cast<size_t>(len)));
+    pos_ += static_cast<size_t>(len);
+    ++tokens_read_;
+    return s;
+  }
   // Chunked: memory grows only as real bytes arrive, so a corrupt or
   // hostile length field fails cleanly at end-of-input instead of driving
   // one giant up-front allocation. No upper cap — the cache's canonical
@@ -324,7 +398,9 @@ Distribution ReadDistribution(Reader& r) {
   uint64_t n = r.U64();
   if (n == 0) throw SerdeError("serde: distribution needs >= 1 bucket");
   if (n > kMaxBuckets) throw SerdeError("serde: bucket count too large");
-  std::vector<double> values(n), probs(n);
+  std::vector<double> buf(2 * n);
+  double* values = buf.data();
+  double* probs = values + n;
   double sum = 0;
   for (uint64_t i = 0; i < n; ++i) {
     values[i] = r.F64();
@@ -347,7 +423,7 @@ Distribution ReadDistribution(Reader& r) {
   // validating constructor would re-divide by `sum`, perturbing the stored
   // bit patterns whenever sum != 1.0 exactly.
   return Distribution::FromNormalizedView(
-      DistView{values.data(), probs.data(), static_cast<size_t>(n)});
+      DistView{values, probs, static_cast<size_t>(n)});
 }
 
 // ---------------------------------------------------------------------------

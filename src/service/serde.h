@@ -70,11 +70,14 @@ inline constexpr uint32_t kMinReadVersion = 2;
 /// Stream framing; see the header comment.
 enum class Encoding { kText, kBinary };
 
-/// Token sink. Construction writes the stream header; the per-type Write
-/// functions below append tagged tokens. One Writer per stream.
+/// Token sink. Construction appends the stream header to `*out`
+/// (borrowed; must outlive the Writer); the per-type Write functions below
+/// append tagged tokens. One Writer per stream. Appending to a string, not
+/// an ostream, keeps the iostream layer off every token: signatures,
+/// request keys and wire payloads are all built as whole strings.
 class Writer {
  public:
-  explicit Writer(std::ostream& out, Encoding encoding = Encoding::kText);
+  explicit Writer(std::string* out, Encoding encoding = Encoding::kText);
 
   Encoding encoding() const { return encoding_; }
 
@@ -90,7 +93,13 @@ class Writer {
   void Str(std::string_view s);
 
  private:
-  std::ostream& out_;
+  void Put(const char* data, size_t n) { out_->append(data, n); }
+  void Put(char c) { out_->push_back(c); }
+  /// Text-encoding integer token: decimal digits, then a space.
+  template <typename Int>
+  void PutDecimal(Int v);
+
+  std::string* out_;
   Encoding encoding_;
 };
 
@@ -105,6 +114,9 @@ class Reader {
   enum MagicState { kReadHeader, kHeaderConsumed };
 
   explicit Reader(std::istream& in, MagicState magic = kReadHeader);
+  /// Reads one whole in-memory stream (borrowed; must outlive the Reader)
+  /// with the same grammar and errors, without an istream or a copy.
+  explicit Reader(std::string_view bytes);
 
   Encoding encoding() const { return encoding_; }
   /// The stream's declared format version (in [kMinReadVersion,
@@ -123,11 +135,19 @@ class Reader {
   std::string Str();
 
  private:
+  void Header(MagicState magic);
   [[noreturn]] void Fail(const std::string& what) const;
+  /// One whitespace-delimited word (istream >> std::string), uncounted;
+  /// false at end of input.
+  bool Word(std::string* out);
   std::string NextToken();
   void ReadRaw(char* buf, size_t n);
+  /// Consumes one byte, whatever it is, if there is one (istream::get).
+  void SkipByte();
 
-  std::istream& in_;
+  std::istream* in_ = nullptr;
+  std::string_view bytes_;
+  size_t pos_ = 0;
   Encoding encoding_ = Encoding::kText;
   uint32_t version_ = kFormatVersion;
   size_t tokens_read_ = 0;
@@ -193,16 +213,15 @@ ServeRequest ReadServeRequest(Reader& r);
 
 template <typename T>
 std::string ToString(const T& value, Encoding encoding = Encoding::kText) {
-  std::ostringstream out;
-  Writer w(out, encoding);
+  std::string out;
+  Writer w(&out, encoding);
   Write(w, value);
-  return std::move(out).str();
+  return out;
 }
 
 template <typename T>
 T FromString(std::string_view bytes) {
-  std::istringstream in{std::string(bytes)};
-  Reader r(in);
+  Reader r(bytes);
   if constexpr (std::is_same_v<T, Distribution>) {
     return ReadDistribution(r);
   } else if constexpr (std::is_same_v<T, MarkovChain>) {

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dist/simd.h"
+
 namespace lec {
 
 namespace {
@@ -91,11 +93,12 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
   state->submit_time = now;
   ServeTicket ticket{state};
 
-  // Canonicalize OUTSIDE the pipeline lock: QuerySignature::Compute
+  // Key the request OUTSIDE the pipeline lock: RequestKey::ComputeInto
   // serializes the whole request, and holding mu_ across that would stall
-  // every worker's completion path behind admission.
+  // every worker's completion path behind admission. The key is built
+  // under the SIMD tier a worker will pin, since the tier is part of it.
   std::optional<StrategyId> id = ParseStrategy(request.strategy);
-  QuerySignature sig;
+  std::string key;
   if (id) {
     OptimizeRequest probe;
     probe.query = &request.workload.query;
@@ -111,7 +114,8 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
     probe.randomized_patience = request.randomized_patience;
     probe.sample_predicate = request.sample_predicate;
     try {
-      sig = QuerySignature::Compute(*id, probe);
+      simd::ScopedLevel simd_scope(SimdLevelFor(request.options.simd_mode));
+      RequestKey::ComputeInto(*id, probe, &key);
     } catch (const std::exception& e) {
       id.reset();
       ServeOutcome bad;
@@ -148,7 +152,7 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
       return ticket;
     }
     if (options_.coalesce) {
-      auto it = inflight_.find(sig.canonical);
+      auto it = inflight_.find(key);
       if (it != inflight_.end()) {
         // Singleflight attach: share the in-flight job's one optimization.
         // No queue slot is consumed, so an attach never sees backpressure.
@@ -166,13 +170,13 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
       return ticket;
     }
     auto job = std::make_shared<Job>();
-    job->sig = std::move(sig);
+    job->key = std::move(key);
     job->strategy = *id;
     job->request = request;  // the pipeline owns the payload while in flight
     job->deadline = now + deadline_budget_seconds;
     job->waiters.push_back(std::move(state));
     if (options_.coalesce) {
-      inflight_.emplace(std::string_view(job->sig.canonical), job);
+      inflight_.emplace(std::string_view(job->key), job);
     }
     queue_.push_back(std::move(job));
     stats_.queue_depth_hwm = std::max(stats_.queue_depth_hwm, queue_.size());
@@ -281,7 +285,7 @@ void ServePipeline::RunJob(Job& job) {
     // submitted after this point starts a fresh job (and, with a plan
     // cache attached, serves as a hit).
     if (options_.coalesce) {
-      auto it = inflight_.find(job.sig.canonical);
+      auto it = inflight_.find(job.key);
       if (it != inflight_.end() && it->second.get() == &job) {
         inflight_.erase(it);
       }

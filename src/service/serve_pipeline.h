@@ -9,17 +9,23 @@
 // caller waits on. The thread split is deliberate (protocol threads never
 // compute, compute workers never block on I/O — the executor/transaction
 // separation a conventional DBMS front end uses): Submit() does only
-// signature canonicalization and queue bookkeeping; all optimization runs
-// on the worker pool.
+// request keying and queue bookkeeping; all optimization runs on the
+// worker pool.
 //
 // Three serving behaviors the batch driver cannot express:
 //
-//   * In-flight coalescing (singleflight). Submissions are keyed by the
-//     PR-5 canonical QuerySignature. While a request for signature S is
-//     queued or computing, further submissions with signature S attach as
-//     WAITERS to the same job instead of queueing their own: one
-//     optimization runs, every waiter receives the bit-identical
-//     OptimizeResult. This extends the PlanCache's "hit ≡ recompute"
+//   * In-flight coalescing (singleflight). Submissions are keyed by their
+//     RequestKey (service/plan_cache.h): the bytes of every input the
+//     result depends on, the query exactly as given — filters included,
+//     which the canonical QuerySignature does not write because a
+//     rewritten query has none left. While a request with key K is queued
+//     or computing, further submissions with key K attach as WAITERS to
+//     the same job instead of queueing their own: one optimization runs,
+//     every waiter receives the bit-identical OptimizeResult. Relabeled
+//     duplicates do not coalesce (their keys differ); they meet in the
+//     plan cache instead. The key is also the plan cache's request-memo
+//     key, so Submit signs nothing: the one signature per request is the
+//     facade's, on the rewritten query, and only on a memo miss. This extends the PlanCache's "hit ≡ recompute"
 //     contract to concurrent duplicates — the window where N identical
 //     requests all missed the cache and all paid the full DP (the PR-5
 //     miss-then-insert race) closes, because the insert is now routed
@@ -161,7 +167,7 @@ class ServePipeline {
     /// < 1 are treated as 1. A submission finding the queue full is
     /// rejected immediately.
     size_t queue_capacity = 256;
-    /// In-flight coalescing on the canonical QuerySignature. Off is the
+    /// In-flight coalescing on the raw RequestKey. Off is the
     /// ablation/debug configuration — every submission queues its own job.
     bool coalesce = true;
     /// Optional shared whole-result cache (borrowed; internally
@@ -233,7 +239,8 @@ class ServePipeline {
   /// One singleflight group: the leader's request plus every ticket the
   /// outcome fans out to (waiters[0] is the leader).
   struct Job {
-    QuerySignature sig;
+    /// The RequestKey bytes: the singleflight identity.
+    std::string key;
     StrategyId strategy;
     serde::ServeRequest request;
     double deadline = std::numeric_limits<double>::infinity();
@@ -255,9 +262,9 @@ class ServePipeline {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::deque<std::shared_ptr<Job>> queue_;
-  /// canonical signature -> in-flight job (queued or computing), the
-  /// singleflight table. Keyed by string_view into Job::sig.canonical
-  /// (jobs are heap-allocated and outlive their table entry).
+  /// RequestKey bytes -> in-flight job (queued or computing), the
+  /// singleflight table. Keyed by string_view into Job::key (jobs are
+  /// heap-allocated and outlive their table entry).
   std::unordered_map<std::string_view, std::shared_ptr<Job>> inflight_;
   Stats stats_;
   double estimate_ewma_ = 0;

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 namespace lec {
@@ -86,17 +85,16 @@ ServeStatus StatusFromWire(uint32_t raw) {
 std::string EncodeWireRequest(const serde::ServeRequest& request,
                               double deadline_budget_seconds,
                               serde::Encoding encoding) {
-  std::ostringstream out;
-  serde::Writer w(out, encoding);
+  std::string out;
+  serde::Writer w(&out, encoding);
   w.Tag("wirereq");
   w.U64(BudgetToMicros(deadline_budget_seconds));
   serde::Write(w, request);
-  return std::move(out).str();
+  return out;
 }
 
 WireRequest DecodeWireRequest(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  serde::Reader r(in);
+  serde::Reader r(payload);
   r.ExpectTag("wirereq");
   WireRequest wire;
   wire.encoding = r.encoding();
@@ -107,8 +105,8 @@ WireRequest DecodeWireRequest(std::string_view payload) {
 
 std::string EncodeWireResponse(const WireResponse& response,
                                serde::Encoding encoding) {
-  std::ostringstream out;
-  serde::Writer w(out, encoding);
+  std::string out;
+  serde::Writer w(&out, encoding);
   w.Tag("wireresp");
   w.U32(static_cast<uint32_t>(response.status));
   w.Bool(response.degraded);
@@ -116,12 +114,11 @@ std::string EncodeWireResponse(const WireResponse& response,
   w.Str(response.error);
   w.Bool(response.result.has_value());
   if (response.result) serde::Write(w, *response.result);
-  return std::move(out).str();
+  return out;
 }
 
 WireResponse DecodeWireResponse(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  serde::Reader r(in);
+  serde::Reader r(payload);
   r.ExpectTag("wireresp");
   WireResponse wire;
   wire.status = StatusFromWire(r.U32());

@@ -88,6 +88,32 @@ CaseContext BuildContext(const FuzzCase& c) {
   return ctx;
 }
 
+/// `w` under new position labels: perm[p] is the new position of original
+/// position p. Predicate and filter list order is kept.
+Workload Relabeled(const Workload& w, const std::vector<int>& perm) {
+  int n = w.query.num_tables();
+  std::vector<int> inv(static_cast<size_t>(n));
+  for (int p = 0; p < n; ++p) inv[static_cast<size_t>(perm[p])] = p;
+  Workload twin;
+  twin.catalog = w.catalog;
+  for (int np = 0; np < n; ++np) {
+    twin.query.AddTable(w.query.table(inv[static_cast<size_t>(np)]));
+  }
+  for (const JoinPredicate& p : w.query.predicates()) {
+    twin.query.AddPredicate(static_cast<QueryPos>(perm[p.left]),
+                            static_cast<QueryPos>(perm[p.right]),
+                            p.selectivity);
+  }
+  for (const FilterPredicate& f : w.query.filters()) {
+    twin.query.AddFilter(static_cast<QueryPos>(perm[f.table]),
+                         f.selectivity);
+  }
+  if (w.query.required_order()) {
+    twin.query.RequireOrder(*w.query.required_order());
+  }
+  return twin;
+}
+
 std::string FormatMismatch(const char* what, double got, double want) {
   std::ostringstream os;
   os.precision(17);
@@ -723,6 +749,73 @@ class CaseChecker {
              FormatMismatch("snapshot-served vs uncached objective",
                             served.objective, direct.objective));
     }
+    if (Stop()) return;
+
+    // (d) The request memo, with rewrite_mode on: the case (given a filter
+    // if it has none) is served through one cache, then served again (a
+    // memo hit), relabeled (a new raw request: canonical hit or miss,
+    // never the memo), and as a twin with one filter perturbed (a
+    // different raw request). Each must equal its uncached recompute, down
+    // to the rewrite's position map.
+    {
+      Workload base = w;
+      if (base.query.num_filters() == 0) base.query.AddFilter(0, 0.5);
+      std::vector<int> reverse(static_cast<size_t>(w.query.num_tables()));
+      for (size_t p = 0; p < reverse.size(); ++p) {
+        reverse[p] = static_cast<int>(reverse.size() - 1 - p);
+      }
+      Workload relabeled = Relabeled(base, reverse);
+      Workload perturbed = base;
+      perturbed.query = Query();
+      for (QueryPos p = 0; p < base.query.num_tables(); ++p) {
+        perturbed.query.AddTable(base.query.table(p));
+      }
+      for (const JoinPredicate& p : base.query.predicates()) {
+        perturbed.query.AddPredicate(p.left, p.right, p.selectivity);
+      }
+      for (int i = 0; i < base.query.num_filters(); ++i) {
+        const FilterPredicate& f = base.query.filter(i);
+        perturbed.query.AddFilter(
+            f.table, i == 0 ? Distribution::PointMass(
+                                  f.selectivity.Mean() * 0.25)
+                            : f.selectivity);
+      }
+      if (base.query.required_order()) {
+        perturbed.query.RequireOrder(*base.query.required_order());
+      }
+
+      PlanCache cache;
+      auto serve = [&](const Workload& x, PlanCache* c) {
+        OptimizeRequest r = req;
+        r.query = &x.query;
+        r.catalog = &x.catalog;
+        r.options.rewrite_mode = RewriteMode::kOn;
+        r.options.plan_cache = c;
+        return facade.Optimize(id, r);
+      };
+      auto same = [](const OptimizeResult& a, const OptimizeResult& b) {
+        return a.objective == b.objective && PlanEquals(a.plan, b.plan) &&
+               a.cost_evaluations == b.cost_evaluations &&
+               a.candidates_considered == b.candidates_considered &&
+               a.rewrite != nullptr && b.rewrite != nullptr &&
+               a.rewrite->position_map == b.rewrite->position_map &&
+               a.rewrite->total_applied() == b.rewrite->total_applied();
+      };
+      OptimizeResult fresh = serve(base, nullptr);
+      bool ok = same(serve(base, &cache), fresh);
+      OptimizeResult memo = serve(base, &cache);
+      ok = ok && same(memo, fresh) && cache.stats().rewrites_skipped == 1;
+      OptimizeResult moved = serve(relabeled, &cache);
+      ok = ok && same(moved, serve(relabeled, nullptr));
+      OptimizeResult twin = serve(perturbed, &cache);
+      OptimizeResult twin_fresh = serve(perturbed, nullptr);
+      ok = ok && same(twin, twin_fresh);
+      PlanCache::Stats stats = cache.stats();
+      ok = ok && stats.rewrites_skipped == 1 && stats.lookups() == 4;
+      Expect(ok, "I8:cache_hit_parity",
+             FormatMismatch("request memo: filter-twin serve vs uncached",
+                            twin.objective, twin_fresh.objective));
+    }
   }
 
   void CheckServePipeline() {
@@ -1282,27 +1375,7 @@ class CaseChecker {
         std::swap(perm[static_cast<size_t>(p)],
                   perm[static_cast<size_t>(rng.UniformInt(0, p))]);
       }
-      std::vector<int> inv(static_cast<size_t>(n));
-      for (int p = 0; p < n; ++p) inv[static_cast<size_t>(perm[p])] = p;
-      Workload twin;
-      twin.catalog = w.catalog;
-      for (int np = 0; np < n; ++np) {
-        twin.query.AddTable(w.query.table(inv[static_cast<size_t>(np)]));
-      }
-      for (int i = 0; i < w.query.num_predicates(); ++i) {
-        const JoinPredicate& p = w.query.predicate(i);
-        twin.query.AddPredicate(static_cast<QueryPos>(perm[p.left]),
-                                static_cast<QueryPos>(perm[p.right]),
-                                p.selectivity);
-      }
-      for (int i = 0; i < w.query.num_filters(); ++i) {
-        const FilterPredicate& f = w.query.filter(i);
-        twin.query.AddFilter(static_cast<QueryPos>(perm[f.table]),
-                             f.selectivity);
-      }
-      if (w.query.required_order()) {
-        twin.query.RequireOrder(*w.query.required_order());
-      }
+      Workload twin = Relabeled(w, perm);
 
       Optimizer facade;
       OptimizeRequest req;

@@ -48,7 +48,10 @@
 //      round trip (service/serde.h, both encodings) equals optimizing the
 //      original, bit for bit; a PlanCache miss, the hit it enables, and a
 //      hit served from a save→load snapshot all equal the uncached run
-//      (elapsed_seconds excepted by the cache contract).
+//      (elapsed_seconds excepted by the cache contract). With rewrite_mode
+//      on, a repeat (a request-memo hit), a relabeling and a twin with one
+//      filter perturbed, served through one cache, each equal their
+//      uncached run, position map included.
 //   I10 serve pipeline    — replaying a duplicate-bearing corpus through
 //      the async ServePipeline (coalescing on, worker count rotated
 //      1/2/4 by seed, shared plan cache) serves every outcome

@@ -2,17 +2,22 @@
 // elapsed_seconds), signatures discriminate exactly the inputs results
 // depend on, eviction respects the cap, snapshots round-trip, and the
 // cache is shareable across the batch driver's workers without changing
-// objectives or plans.
+// objectives or plans. The request memo (aliases) serves a repeat raw
+// request bit-identically, leaves hit/miss accounting unchanged, and
+// drops its aliases with their entry on every path.
 #include "service/plan_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "cost/ec_cache.h"
 #include "query/generator.h"
+#include "rewrite/rewrite.h"
 #include "service/batch_driver.h"
 #include "util/rng.h"
 
@@ -35,6 +40,89 @@ Workload MakeWorkload(uint64_t seed, int num_tables = 5) {
   return GenerateWorkload(wopts, &rng);
 }
 
+/// A workload the rewrite passes act on: filters, parallel edges and an
+/// ORDER BY, so selection push-down, redundant-predicate merging and
+/// canonicalization all fire.
+Workload MakeRewriteWorkload(uint64_t seed, int num_tables = 6) {
+  Rng rng(seed);
+  WorkloadOptions wopts;
+  wopts.num_tables = num_tables;
+  wopts.shape = JoinGraphShape::kStar;
+  wopts.selectivity_spread = 3.0;
+  wopts.table_size_spread = 2.0;
+  wopts.redundant_edge_probability = 0.5;
+  wopts.filter_probability = 0.5;
+  wopts.order_by_probability = 1.0;
+  return GenerateWorkload(wopts, &rng);
+}
+
+/// The same query under new position labels (perm[p] = new position of
+/// original p); predicate and filter list order is kept.
+Workload Relabel(const Workload& w, const std::vector<int>& perm) {
+  const Query& q = w.query;
+  int n = q.num_tables();
+  std::vector<int> from(static_cast<size_t>(n));
+  for (int p = 0; p < n; ++p) from[static_cast<size_t>(perm[p])] = p;
+  Workload out;
+  out.catalog = w.catalog;
+  for (int p = 0; p < n; ++p) {
+    out.query.AddTable(q.table(from[static_cast<size_t>(p)]));
+  }
+  for (const JoinPredicate& e : q.predicates()) {
+    out.query.AddPredicate(perm[e.left], perm[e.right], e.selectivity);
+  }
+  for (const FilterPredicate& f : q.filters()) {
+    out.query.AddFilter(perm[f.table], f.selectivity);
+  }
+  if (q.required_order()) out.query.RequireOrder(*q.required_order());
+  return out;
+}
+
+/// The rotation of 0..n-1 by `k` positions.
+std::vector<int> Rotation(int n, int k) {
+  std::vector<int> perm(static_cast<size_t>(n));
+  for (int p = 0; p < n; ++p) perm[static_cast<size_t>(p)] = (p + k) % n;
+  return perm;
+}
+
+/// True iff every relabeling of `w` shares one canonical entry: the
+/// canonical position keys of the rewritten query are pairwise distinct.
+bool CanonicalKeysDistinct(const Workload& w) {
+  rewrite::RewriteOutcome out =
+      rewrite::StandardPassManager().Run(w.query, w.catalog);
+  std::vector<uint64_t> keys =
+      rewrite::CanonicalPositionKeys(out.query, out.catalog);
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+}
+
+void ExpectSameResult(const OptimizeResult& a, const OptimizeResult& b) {
+  EXPECT_EQ(Bits(a.objective), Bits(b.objective));
+  EXPECT_TRUE(PlanEquals(a.plan, b.plan));
+  EXPECT_EQ(a.candidates_considered, b.candidates_considered);
+  EXPECT_EQ(a.cost_evaluations, b.cost_evaluations);
+  EXPECT_EQ(a.candidates_by_phase, b.candidates_by_phase);
+  EXPECT_EQ(a.pruned_expansions, b.pruned_expansions);
+  EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+  EXPECT_EQ(a.pruned_entries, b.pruned_entries);
+  EXPECT_EQ(a.incumbent_cost_evaluations, b.incumbent_cost_evaluations);
+  ASSERT_EQ(a.rewrite == nullptr, b.rewrite == nullptr);
+  if (a.rewrite == nullptr) return;
+  const rewrite::RewriteOutcome& x = *a.rewrite;
+  const rewrite::RewriteOutcome& y = *b.rewrite;
+  EXPECT_EQ(serde::ToString(x.query), serde::ToString(y.query));
+  EXPECT_EQ(serde::ToString(x.catalog), serde::ToString(y.catalog));
+  EXPECT_EQ(x.position_map, y.position_map);
+  ASSERT_EQ(x.counters.size(), y.counters.size());
+  for (size_t i = 0; i < x.counters.size(); ++i) {
+    EXPECT_EQ(x.counters[i].name, y.counters[i].name);
+    EXPECT_EQ(x.counters[i].applied, y.counters[i].applied);
+    EXPECT_EQ(x.counters[i].skipped, y.counters[i].skipped);
+  }
+  EXPECT_EQ(x.rounds, y.rounds);
+  EXPECT_EQ(x.reached_fixed_point, y.reached_fixed_point);
+}
+
 class PlanCacheTest : public ::testing::Test {
  protected:
   PlanCacheTest() : memory_({{64, 0.25}, {512, 0.5}, {4096, 0.25}}) {}
@@ -46,6 +134,12 @@ class PlanCacheTest : public ::testing::Test {
     req.model = &model_;
     req.memory = &memory_;
     req.options.plan_cache = cache;
+    return req;
+  }
+
+  OptimizeRequest RewriteRequestFor(const Workload& w, PlanCache* cache) {
+    OptimizeRequest req = RequestFor(w, cache);
+    req.options.rewrite_mode = RewriteMode::kOn;
     return req;
   }
 
@@ -493,6 +587,221 @@ TEST_F(PlanCacheTest, SnapshotReloadSupportsPreciseInvalidation) {
   EXPECT_EQ(warmed.stats().hits, 1u);
   EXPECT_EQ(Bits(served.objective), Bits(original.objective));
   EXPECT_TRUE(PlanEquals(served.plan, original.plan));
+}
+
+TEST_F(PlanCacheTest, RequestMemoHitEqualsUncachedRecompute) {
+  Workload w = MakeRewriteWorkload(900);
+  ASSERT_GT(w.query.num_filters(), 0);
+  for (StrategyId id : {StrategyId::kLecStatic, StrategyId::kAlgorithmD,
+                        StrategyId::kLsc}) {
+    PlanCache cache;
+    OptimizeResult miss =
+        optimizer_.Optimize(id, RewriteRequestFor(w, &cache));
+    OptimizeResult memo =
+        optimizer_.Optimize(id, RewriteRequestFor(w, &cache));
+    OptimizeResult fresh =
+        optimizer_.Optimize(id, RewriteRequestFor(w, nullptr));
+    ASSERT_NE(memo.rewrite, nullptr);
+    ExpectSameResult(miss, fresh);
+    ExpectSameResult(memo, fresh);
+    // The memo hit reuses the first request's outcome object.
+    EXPECT_EQ(memo.rewrite, miss.rewrite);
+    PlanCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.rewrites_skipped, 1u);
+    EXPECT_EQ(stats.insertions, 1u);
+    EXPECT_EQ(cache.aliases(), 1u);
+  }
+}
+
+TEST_F(PlanCacheTest, NewLabelingIsCanonicalHitAndMemoMiss) {
+  Workload w = MakeRewriteWorkload(901);
+  ASSERT_TRUE(CanonicalKeysDistinct(w));
+  Workload twin = Relabel(w, Rotation(w.query.num_tables(), 1));
+  PlanCache cache;
+  optimizer_.Optimize(StrategyId::kLecStatic, RewriteRequestFor(w, &cache));
+  OptimizeResult first =
+      optimizer_.Optimize(StrategyId::kLecStatic,
+                          RewriteRequestFor(twin, &cache));
+  PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);  // canonical hit...
+  EXPECT_EQ(stats.rewrites_skipped, 0u);  // ...through the rewrite
+  EXPECT_EQ(cache.aliases(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // The labeling's second request is a memo hit with its own outcome.
+  OptimizeResult again =
+      optimizer_.Optimize(StrategyId::kLecStatic,
+                          RewriteRequestFor(twin, &cache));
+  EXPECT_EQ(cache.stats().rewrites_skipped, 1u);
+  ExpectSameResult(again, first);
+  ExpectSameResult(again, optimizer_.Optimize(
+                              StrategyId::kLecStatic,
+                              RewriteRequestFor(twin, nullptr)));
+}
+
+TEST_F(PlanCacheTest, EveryEntryDropPathDropsAliases) {
+  Workload w1 = MakeRewriteWorkload(902);
+  Workload w2 = MakeRewriteWorkload(903);
+  uint64_t w1_hash = w1.catalog.table(w1.query.table(0))
+                         .SizeDistribution()
+                         .ContentHash();
+  auto serve = [&](PlanCache* cache, const Workload& w) {
+    optimizer_.Optimize(StrategyId::kLecStatic, RewriteRequestFor(w, cache));
+  };
+  // Serves w1 (leaving its alias), runs `drop`, then checks w1's alias is
+  // gone: the repeat pays the rewrite again.
+  auto check = [&](const char* path, PlanCache* cache, auto drop,
+                   size_t aliases_after) {
+    SCOPED_TRACE(path);
+    serve(cache, w1);
+    ASSERT_GE(cache->aliases(), 1u);
+    drop();
+    EXPECT_EQ(cache->aliases(), aliases_after);
+    size_t skipped = cache->stats().rewrites_skipped;
+    serve(cache, w1);
+    EXPECT_EQ(cache->stats().rewrites_skipped, skipped);
+    EXPECT_LE(cache->stats().rewrites_skipped, cache->stats().hits);
+  };
+
+  PlanCache::Options one;
+  one.max_entries = 1;
+  one.shards = 1;
+  PlanCache evicting(one);
+  check("evict", &evicting, [&] { serve(&evicting, w2); }, 1u);
+
+  PlanCache invalidating;
+  check("InvalidateDistribution", &invalidating,
+        [&] { EXPECT_EQ(invalidating.InvalidateDistribution(w1_hash), 1u); },
+        0u);
+
+  PlanCache all;
+  check("InvalidateAll", &all, [&] { all.InvalidateAll(); }, 0u);
+
+  PlanCache cleared;
+  check("Clear", &cleared, [&] { cleared.Clear(); }, 0u);
+
+  // A snapshot load replaces the entry's result, and its aliases with it;
+  // the entry itself survives, so the repeat is a canonical hit.
+  PlanCache loaded;
+  check("LoadSnapshot", &loaded,
+        [&] { EXPECT_EQ(loaded.LoadSnapshot(loaded.SaveSnapshot()), 1u); },
+        0u);
+  EXPECT_EQ(loaded.stats().hits, 1u);
+}
+
+TEST_F(PlanCacheTest, AliasCapHoldsPerEntry) {
+  Workload w = MakeRewriteWorkload(904, 7);
+  ASSERT_TRUE(CanonicalKeysDistinct(w));
+  int n = w.query.num_tables();
+  // Ten distinct labelings: the seven rotations, then three swaps.
+  std::vector<Workload> labelings;
+  for (int k = 0; k < n; ++k) labelings.push_back(Relabel(w, Rotation(n, k)));
+  for (int k = 1; k <= 3; ++k) {
+    std::vector<int> perm = Rotation(n, 0);
+    std::swap(perm[0], perm[static_cast<size_t>(k)]);
+    labelings.push_back(Relabel(w, perm));
+  }
+  ASSERT_GT(labelings.size(), PlanCache::kMaxAliasesPerEntry);
+  PlanCache cache;
+  for (const Workload& l : labelings) {
+    optimizer_.Optimize(StrategyId::kLecStatic, RewriteRequestFor(l, &cache));
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.aliases(), PlanCache::kMaxAliasesPerEntry);
+  EXPECT_EQ(cache.stats().rewrites_skipped, 0u);
+
+  // The newest labeling kept its alias; the oldest lost it.
+  optimizer_.Optimize(StrategyId::kLecStatic,
+                      RewriteRequestFor(labelings.back(), &cache));
+  EXPECT_EQ(cache.stats().rewrites_skipped, 1u);
+  optimizer_.Optimize(StrategyId::kLecStatic,
+                      RewriteRequestFor(labelings.front(), &cache));
+  EXPECT_EQ(cache.stats().rewrites_skipped, 1u);
+  EXPECT_EQ(cache.aliases(), PlanCache::kMaxAliasesPerEntry);
+}
+
+TEST_F(PlanCacheTest, MemoCounterConservation) {
+  std::vector<Workload> corpus;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Workload w = MakeRewriteWorkload(910 + seed, 5);
+    corpus.push_back(Relabel(w, Rotation(5, 2)));
+    corpus.push_back(std::move(w));
+  }
+  PlanCache::Options copts;
+  copts.max_entries = 3;  // evictions mix in
+  copts.shards = 1;
+  PlanCache cache(copts);
+  Rng rng(77);
+  size_t served = 0;
+  for (int i = 0; i < 60; ++i) {
+    const Workload& w =
+        corpus[static_cast<size_t>(rng.UniformInt(0, 7))];
+    optimizer_.Optimize(StrategyId::kLecStatic, RewriteRequestFor(w, &cache));
+    ++served;
+  }
+  PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups(), served);  // every request resolved once
+  EXPECT_EQ(stats.insertions, stats.misses);
+  EXPECT_GT(stats.rewrites_skipped, 0u);
+  EXPECT_LE(stats.rewrites_skipped, stats.hits);
+  EXPECT_LE(cache.aliases(), cache.size() * PlanCache::kMaxAliasesPerEntry);
+}
+
+TEST_F(PlanCacheTest, ConcurrentMemoHitsRaceEvictionAndInvalidation) {
+  // One thread serves repeat requests (memo hits when their alias is
+  // alive); the other evicts, invalidates and clears underneath it. Every
+  // served result must still be the right one, bit for bit.
+  PlanCache::Options copts;
+  copts.max_entries = 4;
+  copts.shards = 2;
+  PlanCache cache(copts);
+  std::vector<Workload> hot, cold;
+  std::vector<OptimizeResult> expected;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    hot.push_back(MakeRewriteWorkload(920 + seed, 4));
+    expected.push_back(optimizer_.Optimize(
+        StrategyId::kLecStatic, RewriteRequestFor(hot.back(), nullptr)));
+  }
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    cold.push_back(MakeRewriteWorkload(930 + seed, 4));
+  }
+  uint64_t memory_hash = memory_.ContentHash();
+
+  std::atomic<bool> done{false};
+  size_t churned = 0;  // churner-thread only; read after join
+  std::thread server([&] {
+    for (int i = 0; i < 400; ++i) {
+      size_t k = static_cast<size_t>(i) % hot.size();
+      OptimizeResult r = optimizer_.Optimize(
+          StrategyId::kLecStatic, RewriteRequestFor(hot[k], &cache));
+      ASSERT_EQ(Bits(r.objective), Bits(expected[k].objective));
+      ASSERT_TRUE(PlanEquals(r.plan, expected[k].plan));
+      ASSERT_NE(r.rewrite, nullptr);
+      ASSERT_EQ(r.rewrite->position_map, expected[k].rewrite->position_map);
+    }
+    done = true;
+  });
+  std::thread churner([&] {
+    for (int i = 0; !done; ++i) {
+      optimizer_.Optimize(StrategyId::kLecStatic,
+                          RewriteRequestFor(cold[i % cold.size()], &cache));
+      ++churned;
+      if (i % 7 == 3) cache.InvalidateDistribution(memory_hash);
+      if (i % 11 == 5) cache.InvalidateAll();
+      if (i % 13 == 9) cache.Clear();
+    }
+  });
+  server.join();
+  churner.join();
+
+  // Every request resolved exactly once: as a memo hit, a hit or a miss.
+  PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.lookups(), 400 + churned);
+  EXPECT_LE(stats.rewrites_skipped, stats.hits);
+  EXPECT_LE(cache.size(), 4u);
+  EXPECT_LE(cache.aliases(), cache.size() * PlanCache::kMaxAliasesPerEntry);
 }
 
 }  // namespace

@@ -130,11 +130,11 @@ TEST_F(SerdeGoldenTest, RequestAndResultBundleIsByteStable) {
   request.memory = memory_;
   OptimizeResult result = PinnedOptimize(StrategyId::kLecStatic);
 
-  std::ostringstream out;
-  serde::Writer w(out);
+  std::string out;
+  serde::Writer w(&out);
   serde::Write(w, request);
   serde::Write(w, result);
-  CheckGolden("serde_snapshot_v3.txt", out.str());
+  CheckGolden("serde_snapshot_v3.txt", out);
 }
 
 TEST_F(SerdeGoldenTest, GoldenBundleDeserializesAndReproducesTheObjective) {

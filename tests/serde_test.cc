@@ -328,8 +328,8 @@ TEST(SerdeWorkloadTest, RejectsQueryReferencingUnknownTable) {
 }
 
 TEST(SerdeQueryTest, RejectsPredicateEndpointOutOfRange) {
-  std::ostringstream out;
-  Writer w(out);
+  std::string out;
+  Writer w(&out);
   w.Tag("query");
   w.U64(2);
   w.I32(0);
@@ -339,7 +339,7 @@ TEST(SerdeQueryTest, RejectsPredicateEndpointOutOfRange) {
   w.I32(7);     // ... whose right endpoint names a nonexistent position
   serde::Write(w, Distribution::PointMass(0.5));
   w.Bool(false);
-  EXPECT_THROW(FromString<Query>(out.str()), SerdeError);
+  EXPECT_THROW(FromString<Query>(out), SerdeError);
 }
 
 // -- Plans and results ------------------------------------------------------

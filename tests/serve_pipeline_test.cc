@@ -172,6 +172,60 @@ TEST_F(ServePipelineTest, CoalescedWaitersShareOneBitIdenticalComputation) {
   EXPECT_EQ(stats.computed, 1u);
 }
 
+TEST_F(ServePipelineTest, RequestsDifferingOnlyInAFilterNeverCoalesce) {
+  // The canonical QuerySignature does not write filters (a rewritten query
+  // has none left), so keying singleflight on the raw request's signature
+  // merged these two and served one of them the other's plan. Under the
+  // rewrite passes the filter decides the plan.
+  auto filtered = [](double selectivity) {
+    serde::ServeRequest r;
+    r.strategy = "lec_static";
+    r.workload.catalog.AddTable("a", 1000);
+    r.workload.catalog.AddTable("b", 2000);
+    r.workload.catalog.AddTable("c", 500);
+    for (TableId t = 0; t < 3; ++t) r.workload.query.AddTable(t);
+    r.workload.query.AddPredicate(0, 1, 0.001);
+    r.workload.query.AddPredicate(1, 2, 0.01);
+    r.workload.query.AddFilter(0, selectivity);
+    r.memory = Distribution({{64, 0.25}, {512, 0.5}, {4096, 0.25}});
+    r.options.rewrite_mode = RewriteMode::kOn;
+    return r;
+  };
+  serde::ServeRequest loose = filtered(0.5);
+  serde::ServeRequest tight = filtered(0.001);
+
+  Gate gate;
+  std::atomic<int> computes{0};
+  GatedOptimizer gated(&gate, &computes);
+  ServePipeline::Options opts;
+  opts.workers = 1;
+  opts.optimizer = &gated.facade();
+  ServePipeline pipeline(opts);
+
+  ServeTicket blocker = pipeline.Submit(MakeRequest(5));
+  gate.WaitEntered(1);  // the only worker is parked; both below queue
+  ServeTicket a = pipeline.Submit(loose);
+  ServeTicket b = pipeline.Submit(tight);
+  EXPECT_EQ(pipeline.stats().coalesced, 0u);
+  gate.Open();
+
+  EXPECT_EQ(blocker.Wait().status, ServeStatus::kOk);
+  const ServeOutcome& out_a = a.Wait();
+  const ServeOutcome& out_b = b.Wait();
+  ASSERT_EQ(out_a.status, ServeStatus::kOk);
+  ASSERT_EQ(out_b.status, ServeStatus::kOk);
+  EXPECT_FALSE(out_a.coalesced);
+  EXPECT_FALSE(out_b.coalesced);
+  OptimizeResult want_a =
+      Reference(loose, StrategyId::kLecStatic, model_, plain_);
+  OptimizeResult want_b =
+      Reference(tight, StrategyId::kLecStatic, model_, plain_);
+  EXPECT_NE(Bits(want_a.objective), Bits(want_b.objective));
+  ExpectBitEqual(out_a.result, want_a);
+  ExpectBitEqual(out_b.result, want_b);
+  EXPECT_EQ(computes.load(), 3);
+}
+
 TEST_F(ServePipelineTest, QueueFullRejectsImmediatelyWithTypedStatus) {
   Gate gate;
   GatedOptimizer gated(&gate, nullptr);

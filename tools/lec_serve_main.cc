@@ -297,12 +297,12 @@ class Server {
     PlanCache::Stats s = cache_.stats();
     std::printf(
         "cache: %zu entries (cap %zu) | hits %zu misses %zu hit-rate %.1f%% "
-        "| insertions %zu evictions %zu stale %zu\n",
+        "| insertions %zu evictions %zu stale %zu | rewrites skipped %zu\n",
         cache_.size(), cache_.max_entries(), s.hits, s.misses,
         s.lookups() > 0 ? 100.0 * static_cast<double>(s.hits) /
                               static_cast<double>(s.lookups())
                         : 0.0,
-        s.insertions, s.evictions, s.stale);
+        s.insertions, s.evictions, s.stale, s.rewrites_skipped);
   }
 
   size_t served() const { return served_; }
