@@ -2,11 +2,13 @@
 //
 // RunDp's objective, plan and work counters are pinned bit for bit on the
 // large queries the sparse live-subset table exists for (chains, cycles
-// and a random graph at n = 19 and 20) and on the n = 10 chain the
-// allocation tests use, under the three scalar costing regimes (lsc,
-// lec_static, lec_dynamic). Pruning is off, so the counters are the
-// unpruned DP's exact enumeration; pruned-vs-unpruned equality is fuzz
-// invariant I9 and optimality against the exhaustive oracle is I1. The
+// and a random graph at n = 19 and 20), on the n = 10 chain the
+// allocation tests use and on 10-table stars, under the three scalar
+// costing regimes (lsc, lec_static, lec_dynamic). Pruning is off except
+// in the *_pruned star cases, so the other counters are the unpruned DP's
+// exact enumeration; the pruned cases also record the branch-and-bound
+// counters. Pruned-vs-unpruned equality is fuzz invariant I9 and
+// optimality against the exhaustive oracle is I1. The
 // SIMD tier is pinned to scalar so the recorded bits do not depend on the
 // host's vector unit.
 //
@@ -63,11 +65,21 @@ struct GoldenCase {
   double order_by;
   size_t memory_buckets;
   bool sort_enforcers;
+  /// CostModelOptions::sorted_input_discount: with sort enforcers on, every
+  /// (method, left_sorted, inner_sorted) step of a join holds a different
+  /// value.
+  bool sorted_input_discount = false;
+  /// DpPruning::kOn instead of kOff; the rendering then also records the
+  /// branch-and-bound counters.
+  bool pruning = false;
 };
 
 // The first five are the large-n shapes of tests/sparse_dp_test.cc (same
-// generator seeds), the last two the n = 10 chain of
-// tests/dist_arena_test.cc, once plain and once with sort enforcers.
+// generator seeds), the next two the n = 10 chain of
+// tests/dist_arena_test.cc, once plain and once with sort enforcers. The
+// 10-table stars are the DP's densest n = 10 case (every subset holding
+// the hub is live): plain, with the sorted-input discount and enforcers
+// under an ORDER BY, and the same two with pruning on.
 constexpr GoldenCase kCases[] = {
     {"chain19_order_by", JoinGraphShape::kChain, 19, 1919, 0, 1.0, 9, false},
     {"chain20", JoinGraphShape::kChain, 20, 1920, 0, 0.0, 9, false},
@@ -77,21 +89,35 @@ constexpr GoldenCase kCases[] = {
     {"chain10", JoinGraphShape::kChain, 10, 20260729, 0, 0.0, 27, false},
     {"chain10_enforcers", JoinGraphShape::kChain, 10, 20260729, 0, 0.0, 27,
      true},
+    {"star10", JoinGraphShape::kStar, 10, 20261019, 0, 0.0, 27, false},
+    {"star10_discount_enforcers", JoinGraphShape::kStar, 10, 20261019, 0,
+     1.0, 27, true, true},
+    {"star10_pruned", JoinGraphShape::kStar, 10, 20261019, 0, 0.0, 27, false,
+     false, true},
+    {"star10_pruned_discount_enforcers", JoinGraphShape::kStar, 10, 20261019,
+     0, 1.0, 27, true, true, true},
 };
 
-std::string Render(const char* case_name, const char* provider,
+std::string Render(const GoldenCase& c, const char* provider,
                    const OptimizeResult& r, const Workload& w) {
   std::ostringstream os;
   char bits[32];
   std::snprintf(bits, sizeof(bits), "%016" PRIx64,
                 std::bit_cast<uint64_t>(r.objective));
-  os << "case " << case_name << " " << provider << "\n";
+  os << "case " << c.name << " " << provider << "\n";
   os << "objective_bits " << bits << "\n";
   os << "candidates_considered " << r.candidates_considered << "\n";
   os << "cost_evaluations " << r.cost_evaluations << "\n";
   os << "candidates_by_phase";
   for (size_t c : r.candidates_by_phase) os << " " << c;
   os << "\n";
+  if (c.pruning) {
+    os << "pruned_expansions " << r.pruned_expansions << "\n";
+    os << "pruned_candidates " << r.pruned_candidates << "\n";
+    os << "pruned_entries " << r.pruned_entries << "\n";
+    os << "incumbent_cost_evaluations " << r.incumbent_cost_evaluations
+       << "\n";
+  }
   os << "plan " << PlanToString(r.plan, w.query, w.catalog) << "\n";
   os << PlanToTreeString(r.plan, w.query, w.catalog);
   os << "end\n\n";
@@ -100,9 +126,11 @@ std::string Render(const char* case_name, const char* provider,
 
 TEST(DpGoldenTest, CountersObjectivesAndPlansMatchGolden) {
   simd::ScopedLevel pin(simd::Level::kScalar);
-  CostModel model;
   std::string rendered;
   for (const GoldenCase& c : kCases) {
+    CostModelOptions mo;
+    mo.sorted_input_discount = c.sorted_input_discount;
+    CostModel model(mo);
     Rng rng(c.seed);
     WorkloadOptions wopts;
     wopts.num_tables = c.n;
@@ -123,14 +151,14 @@ TEST(DpGoldenTest, CountersObjectivesAndPlansMatchGolden) {
     }
 
     OptimizerOptions opts;
-    opts.dp_pruning = DpPruning::kOff;
+    opts.dp_pruning = c.pruning ? DpPruning::kOn : DpPruning::kOff;
     opts.consider_sort_enforcers = c.sort_enforcers;
     DpContext ctx(w.query, w.catalog, opts);
-    rendered += Render(c.name, "lsc", RunDp(ctx, LscCostProvider{model, 800}),
+    rendered += Render(c, "lsc", RunDp(ctx, LscCostProvider{model, 800}),
                        w);
-    rendered += Render(c.name, "lec_static",
+    rendered += Render(c, "lec_static",
                        RunDp(ctx, LecStaticCostProvider{model, memory}), w);
-    rendered += Render(c.name, "lec_dynamic",
+    rendered += Render(c, "lec_dynamic",
                        RunDp(ctx, LecDynamicCostProvider{model, marginals}),
                        w);
   }
