@@ -8,6 +8,7 @@
 #ifndef LECOPT_CATALOG_CATALOG_H_
 #define LECOPT_CATALOG_CATALOG_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,6 +35,24 @@ struct Table {
   /// The size distribution: `pages_dist` if present, else a point mass.
   Distribution SizeDistribution() const {
     return pages_dist ? *pages_dist : Distribution::PointMass(pages);
+  }
+
+  /// SizeDistribution() without the copy: `pages_dist` in place, or the
+  /// point mass built in `*storage` when it is absent.
+  const Distribution& SizeDistributionRef(
+      std::optional<Distribution>* storage) const {
+    if (pages_dist) return *pages_dist;
+    return storage->emplace(Distribution::PointMass(pages));
+  }
+
+  /// SizeDistribution().Mean() and .ContentHash(), read in place.
+  double SizeMean() const {
+    std::optional<Distribution> storage;
+    return SizeDistributionRef(&storage).Mean();
+  }
+  uint64_t SizeContentHash() const {
+    std::optional<Distribution> storage;
+    return SizeDistributionRef(&storage).ContentHash();
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "cost/cost_policies.h"
@@ -17,8 +18,7 @@ Realization Realization::AtMeans(const Query& query, const Catalog& catalog,
   Realization r;
   r.table_pages.reserve(query.num_tables());
   for (QueryPos p = 0; p < query.num_tables(); ++p) {
-    r.table_pages.push_back(catalog.table(query.table(p)).SizeDistribution()
-                                .Mean());
+    r.table_pages.push_back(catalog.table(query.table(p)).SizeMean());
   }
   r.selectivity.reserve(query.num_predicates());
   for (int i = 0; i < query.num_predicates(); ++i) {
@@ -213,8 +213,9 @@ DistWalkResult WalkMultiParam(const PlanPtr& node, const Query& query,
   DistWalkResult out;
   switch (node->kind) {
     case PlanNode::Kind::kAccess: {
+      std::optional<Distribution> point_mass;
       out.pages = catalog.table(query.table(node->table_pos))
-                      .SizeDistribution()
+                      .SizeDistributionRef(&point_mass)
                       .Rebucket(size_buckets);
       out.ec = out.pages.Mean();  // scan cost is linear in size
       return out;

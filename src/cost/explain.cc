@@ -55,9 +55,7 @@ Walk Recurse(const PlanPtr& node, const Query& query, const Catalog& catalog,
   std::ostringstream desc;
   switch (node->kind) {
     case PlanNode::Kind::kAccess: {
-      out.pages = catalog.table(query.table(node->table_pos))
-                      .SizeDistribution()
-                      .Mean();
+      out.pages = catalog.table(query.table(node->table_pos)).SizeMean();
       OperatorDiagnostics d;
       desc << "Scan(" << catalog.table(query.table(node->table_pos)).name
            << " [" << out.pages << " pg])";

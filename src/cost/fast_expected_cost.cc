@@ -196,6 +196,81 @@ double FastEcJoin(JoinMethod method, DistView left, DistView right,
                     ViewMean(right));
 }
 
+double FastEcByMethod::Of(JoinMethod method) const {
+  switch (method) {
+    case JoinMethod::kNestedLoop:
+      return nested_loop;
+    case JoinMethod::kSortMerge:
+      return sort_merge;
+    case JoinMethod::kGraceHash:
+      return grace_hash;
+    case JoinMethod::kHybridHash:
+      throw std::invalid_argument("no fast path for hybrid hash");
+  }
+  throw std::logic_error("unknown join method");
+}
+
+FastEcByMethod FastEcAllMethods(DistView a, DistView b,
+                                const EcMemoryProfile& m, double a_mean,
+                                double b_mean, double* sm_a_terms) {
+  // Every term below is its single kernel's expression verbatim; only the
+  // loops are shared.
+  FastEcByMethod ec;
+  // Sweep a ascending: SM's |A| > |B| branch, GH's and NL's |A| <= |B|.
+  {
+    PassWeightSweep g(m);
+    PrefixSweep b_prefix{b, /*strict=*/true, 0, 0, 0};
+    size_t mi = 0;
+    double m_acc = 0;  // Pr(M < x + 2), strict
+    for (size_t k = 0; k < a.n; ++k) {
+      double x = a.values[k];
+      b_prefix.Advance(x);
+      double weight = g.Advance(x);
+      sm_a_terms[k] =
+          a.probs[k] * weight * (x * b_prefix.prob + b_prefix.pe);
+      double pr_b_geq = 1.0 - b_prefix.prob;
+      double pe_b_geq = b_mean - b_prefix.pe;
+      ec.grace_hash += a.probs[k] * weight * (x * pr_b_geq + pe_b_geq);
+      double bound = x + 2.0;
+      while (mi < m.memory.n && m.memory.values[mi] < bound) {
+        m_acc += m.memory.probs[mi];
+        ++mi;
+      }
+      double p_small = m_acc;
+      double p_big = 1.0 - p_small;
+      ec.nested_loop += a.probs[k] * (p_big * (x * pr_b_geq + pe_b_geq) +
+                                      p_small * (x * pr_b_geq + x * pe_b_geq));
+    }
+  }
+  // Sweep b ascending: SM's |A| <= |B| branch, GH's and NL's |A| > |B|.
+  {
+    PassWeightSweep g(m);
+    PrefixSweep a_prefix{a, /*strict=*/false, 0, 0, 0};
+    size_t mi = 0;
+    double m_acc = 0;
+    for (size_t k = 0; k < b.n; ++k) {
+      double x = b.values[k];
+      a_prefix.Advance(x);
+      double weight = g.Advance(x);
+      ec.sort_merge += b.probs[k] * weight * (a_prefix.pe + x * a_prefix.prob);
+      double pr_a_gt = 1.0 - a_prefix.prob;
+      double pe_a_gt = a_mean - a_prefix.pe;
+      ec.grace_hash += b.probs[k] * weight * (pe_a_gt + x * pr_a_gt);
+      double bound = x + 2.0;
+      while (mi < m.memory.n && m.memory.values[mi] < bound) {
+        m_acc += m.memory.probs[mi];
+        ++mi;
+      }
+      double p_small = m_acc;
+      double p_big = 1.0 - p_small;
+      ec.nested_loop += b.probs[k] * (p_big * (pe_a_gt + x * pr_a_gt) +
+                                      p_small * (pe_a_gt + pe_a_gt * x));
+    }
+  }
+  for (size_t k = 0; k < a.n; ++k) ec.sort_merge += sm_a_terms[k];
+  return ec;
+}
+
 // ---------------------------------------------------------------------------
 // Distribution-level wrappers: build the profile in a per-thread scratch
 // arena (reset each call — these are leaf computations) and run the

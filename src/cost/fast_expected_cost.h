@@ -76,6 +76,30 @@ double FastEcJoin(JoinMethod method, DistView left, DistView right,
 double FastEcJoin(JoinMethod method, DistView left, DistView right,
                   const EcMemoryProfile& memory);
 
+/// The three kernels' values for one (left, right) pair.
+struct FastEcByMethod {
+  double nested_loop = 0;
+  double sort_merge = 0;
+  double grace_hash = 0;
+
+  /// The value of `method` (kHybridHash throws, as FastEcJoin does).
+  double Of(JoinMethod method) const;
+};
+
+/// FastEcNestedLoop, FastEcSortMerge and FastEcGraceHash of one pair in one
+/// fused sweep pair: all three condition on the same two branches, so one
+/// ascending sweep over `left` (strict prefix over `right`, one pass-weight
+/// cursor, one S + 2 memory cursor) and one over `right` serve every
+/// method. Each method keeps its own accumulation order, so every value is
+/// bit-identical to its single kernel: nested loop and Grace hash add
+/// their left-sweep terms first, sort-merge adds its right-sweep terms
+/// first — its left-sweep terms wait in `sm_left_terms`, which must hold
+/// left.n doubles.
+FastEcByMethod FastEcAllMethods(DistView left, DistView right,
+                                const EcMemoryProfile& memory,
+                                double left_mean, double right_mean,
+                                double* sm_left_terms);
+
 // -- Branch-and-bound floor hook (§3.6 prefix partial expectations) ---------
 
 /// E_M[CostModel::JoinCostRemFloor(method, outer_min_pages, right_pages, M)]

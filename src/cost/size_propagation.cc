@@ -50,25 +50,32 @@ DistView CombinedSelectivityViewInto(const Query& query,
   return combined;
 }
 
-DistView JoinSizeViewInto(DistView left, DistView right, DistView selectivity,
-                          size_t max_buckets, SizePropagationMode mode,
-                          DistArena* arena) {
-  if (mode == SizePropagationMode::kCubeRootPrebucket) {
-    size_t per_input = std::max<size_t>(
-        1, static_cast<size_t>(std::floor(std::cbrt(
-               static_cast<double>(std::max<size_t>(max_buckets, 1))))));
-    DistView l = RebucketInto(left, per_input, RebucketStrategy::kEqualWidth,
-                              arena);
-    DistView r = RebucketInto(right, per_input,
-                              RebucketStrategy::kEqualWidth, arena);
-    DistView s = RebucketInto(selectivity, per_input,
-                              RebucketStrategy::kEqualWidth, arena);
-    return RebucketInto(ProductInto(ProductInto(l, r, arena), s, arena),
-                        max_buckets, RebucketStrategy::kEqualWidth, arena);
-  }
+DistView JoinSizeOperandInto(DistView operand, size_t max_buckets,
+                             SizePropagationMode mode, DistArena* arena) {
+  if (mode != SizePropagationMode::kCubeRootPrebucket) return operand;
+  size_t per_input = std::max<size_t>(
+      1, static_cast<size_t>(std::floor(std::cbrt(
+             static_cast<double>(std::max<size_t>(max_buckets, 1))))));
+  return RebucketInto(operand, per_input, RebucketStrategy::kEqualWidth,
+                      arena);
+}
+
+DistView JoinSizeOfOperandsInto(DistView left, DistView right,
+                                DistView selectivity, size_t max_buckets,
+                                DistArena* arena) {
   return RebucketInto(
       ProductInto(ProductInto(left, right, arena), selectivity, arena),
       max_buckets, RebucketStrategy::kEqualWidth, arena);
+}
+
+DistView JoinSizeViewInto(DistView left, DistView right, DistView selectivity,
+                          size_t max_buckets, SizePropagationMode mode,
+                          DistArena* arena) {
+  return JoinSizeOfOperandsInto(
+      JoinSizeOperandInto(left, max_buckets, mode, arena),
+      JoinSizeOperandInto(right, max_buckets, mode, arena),
+      JoinSizeOperandInto(selectivity, max_buckets, mode, arena), max_buckets,
+      arena);
 }
 
 }  // namespace lec

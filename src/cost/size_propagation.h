@@ -61,6 +61,20 @@ DistView JoinSizeViewInto(DistView left, DistView right, DistView selectivity,
                           size_t max_buckets, SizePropagationMode mode,
                           DistArena* arena);
 
+/// JoinSizeViewInto in its two stages, for callers that reuse an operand
+/// across joins. The operand stage is what each of the three inputs enters
+/// the product as: rebucketed to ⌊∛max_buckets⌋ buckets under
+/// kCubeRootPrebucket, unchanged under kExactThenRebucket. The product
+/// stage multiplies three staged operands (left · right, then · σ) and
+/// rebuckets to `max_buckets`. JoinSizeOfOperandsInto(JoinSizeOperandInto(
+/// l), JoinSizeOperandInto(r), JoinSizeOperandInto(s)) has
+/// JoinSizeViewInto(l, r, s)'s bits.
+DistView JoinSizeOperandInto(DistView operand, size_t max_buckets,
+                             SizePropagationMode mode, DistArena* arena);
+DistView JoinSizeOfOperandsInto(DistView left, DistView right,
+                                DistView selectivity, size_t max_buckets,
+                                DistArena* arena);
+
 }  // namespace lec
 
 #endif  // LECOPT_COST_SIZE_PROPAGATION_H_

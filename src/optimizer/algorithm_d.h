@@ -11,12 +11,98 @@
 // linear-time §3.6.1/3.6.2 algorithms (options.use_fast_ec); result-size
 // distributions are kept to options.size_buckets buckets via §3.6.3
 // cube-root pre-bucketing.
+//
+// D is the shared DP core (RunDpInto, optimizer/dp_common.h) run with
+// AlgorithmDSteps as its provider: the enumeration, tie-breaks and decision
+// table are the scalar strategies' own, and only the costing differs.
 #ifndef LECOPT_OPTIMIZER_ALGORITHM_D_H_
 #define LECOPT_OPTIMIZER_ALGORITHM_D_H_
 
+#include <cstddef>
+#include <cstdint>
+
+#include "cost/cost_model.h"
+#include "cost/fast_expected_cost.h"
 #include "optimizer/dp_common.h"
 
 namespace lec {
+
+namespace internal {
+struct AlgorithmDTables;
+}  // namespace internal
+
+/// Algorithm D's costing hooks for RunDpInto — a DpStepProvider:
+///
+///   * A leaf costs, and every live slot caches, the mean of its subset's
+///     result-size distribution (base sizes rebucketed to size_buckets).
+///     A subset's distribution is derived when its slot closes live.
+///   * A step's cost is its expected cost over the memory distribution and
+///     the two inputs' size distributions. Without an EcCache every use is
+///     charged its formula's weight — b_A + b_B + b_M on the fast path,
+///     b_A · b_B · b_M on the naive one — and the fast path's three methods
+///     come from one fused sweep per (S_j, j) (FastEcAllMethods). With an
+///     EcCache each distinct (method, left_sorted, inner_sorted) meets the
+///     cache once per pair and only a miss is charged.
+///   * Enforcer and root sorts are expected sort costs, charged nothing.
+///
+/// Construction starts a run: it resets the scratch arena
+/// (options.dist_arena, else a per-thread one) and this thread's size
+/// records, so one provider is live per thread at a time and views from
+/// an earlier run die. Everything it keeps has its capacity retained
+/// across runs: a warmed provider and DP make no heap allocations.
+class AlgorithmDSteps {
+ public:
+  struct SizeRecord;
+
+  /// The step context of one (S_j, j) pair (see DpStepProvider).
+  class StepContext {
+   public:
+    double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
+                size_t* evaluations);
+    double Enforcer(size_t* evaluations);
+
+   private:
+    friend class AlgorithmDSteps;
+    StepContext(const AlgorithmDSteps& d, const SizeRecord& left,
+                const SizeRecord& right)
+        : d_(&d), left_(&left), right_(&right) {}
+
+    const AlgorithmDSteps* d_;
+    const SizeRecord* left_;
+    const SizeRecord* right_;
+    uint32_t done_ = 0;  ///< bit internal::StepSlot(...) set once memo_ holds it
+    bool have_fast_ = false;
+    bool have_enforcer_ = false;
+    FastEcByMethod fast_;
+    double enforcer_ = 0;
+    double memo_[internal::kStepSlots];
+  };
+
+  AlgorithmDSteps(const DpContext& ctx, const CostModel& model,
+                  const Distribution& memory);
+
+  double LeafCost(QueryPos p) const;
+  double SlotPages(TableSet s) const;
+  StepContext Step(const DpSlot& left, QueryPos j, int phase) const;
+  double RootSort(TableSet s, double pages, int phase,
+                  size_t* evaluations) const;
+
+ private:
+  double SortEc(const SizeRecord& r) const;
+  /// Room for `n` doubles in the arena, reused while it is large enough.
+  double* SortMergeTerms(size_t n) const;
+
+  const DpContext* ctx_;
+  const CostModel* model_;
+  EcCache* cache_;
+  DistArena* arena_;
+  internal::AlgorithmDTables* tables_;
+  DistView mem_;
+  uint64_t mem_hash_ = 0;
+  EcMemoryProfile profile_;
+  mutable double* sm_terms_ = nullptr;
+  mutable size_t sm_terms_room_ = 0;
+};
 
 /// LEC plan under independent distributions over memory (static), table
 /// sizes, and predicate selectivities. `objective` is the expected cost

@@ -22,7 +22,7 @@ std::vector<double> QueryMemoryBreakpoints(const Query& query,
   std::vector<double> pages(num_subsets, 1.0);
   std::vector<double> table_pages(n);
   for (QueryPos p = 0; p < n; ++p) {
-    table_pages[p] = catalog.table(query.table(p)).SizeDistribution().Mean();
+    table_pages[p] = catalog.table(query.table(p)).SizeMean();
   }
   std::vector<int> internal;  // reused across subsets
   for (TableSet s = 1; s < num_subsets; ++s) {

@@ -16,8 +16,7 @@ DpContext::DpContext(const Query& query, const Catalog& catalog,
   if (n > 20) throw std::invalid_argument("DP limited to 20 relations");
   table_pages_.reserve(n);
   for (QueryPos p = 0; p < n; ++p) {
-    table_pages_.push_back(
-        catalog.table(query.table(p)).SizeDistribution().Mean());
+    table_pages_.push_back(catalog.table(query.table(p)).SizeMean());
   }
   pred_tables_.reserve(query.num_predicates());
   pred_selectivity_.reserve(query.num_predicates());
@@ -252,6 +251,9 @@ size_t ReleaseThreadLocalDpScratch() {
          internal::ReleaseThreadLocalAlgorithmDTables();
 }
 
+namespace {
+
+/// Replays one subtree of the decision table into a plan tree.
 PlanPtr ReplayDpDecisions(const DpContext& ctx, const DpScratch& scratch,
                           TableSet s, OrderId order) {
   const DpSlot* slot = scratch.Find(s);
@@ -275,6 +277,8 @@ PlanPtr ReplayDpDecisions(const DpContext& ctx, const DpScratch& scratch,
   return MakeJoin(std::move(left), std::move(right), d.method,
                   ctx.ConnectingPredicates(sj, j), order, slot->pages);
 }
+
+}  // namespace
 
 PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch) {
   PlanPtr plan = ReplayDpDecisions(ctx, scratch, ctx.query().AllTables(),

@@ -6,10 +6,11 @@
 // (our interesting-orders extension) every choice of sort-merge key /
 // enforcer. They differ only in how a candidate join step is *costed*
 // (specific cost at one memory value, expected cost under a distribution,
-// per-phase expected cost under Markov marginals) and in how many entries
-// are retained per node (one for System R / Algorithm C, top-c for
-// Algorithm B, one per result-size distribution for Algorithm D). The
-// common skeleton lives here, parameterized by cost callbacks.
+// per-phase expected cost under Markov marginals, expected cost over
+// result-size distributions for Algorithm D) and in how many entries are
+// retained per node (one per order for System R, Algorithm C and
+// Algorithm D, top-c for Algorithm B). The common skeleton, RunDpInto,
+// lives here, parameterized by a statically dispatched cost provider.
 #ifndef LECOPT_OPTIMIZER_DP_COMMON_H_
 #define LECOPT_OPTIMIZER_DP_COMMON_H_
 
@@ -351,8 +352,8 @@ struct DpSlot {
   double pages = 0;
 };
 
-/// Reusable storage for RunDpInto (and Algorithm D's kernel path): a
-/// sparse DP table with one slot per live subset.
+/// Reusable storage for RunDpInto: a sparse DP table with one slot per
+/// live subset.
 ///
 /// Slots are appended in waves of equal subset size, ascending within
 /// each wave, and all slots share one entry vector. A wave is built one
@@ -547,27 +548,149 @@ double GreedyIncumbent(const DpContext& ctx, const P& cost,
 
 }  // namespace internal
 
-/// Replays one subtree of a DpScratch decision table into a plan tree.
-/// Every node's est_pages annotation is the page estimate cached in the
-/// slot of the subset it covers — DpContext's mean page counts for the
-/// scalar DP, per-subset size-distribution means for Algorithm D. This is
-/// the ONE copy of the decision-replay logic; both materializers route
-/// through it.
-PlanPtr ReplayDpDecisions(const DpContext& ctx, const DpScratch& scratch,
-                          TableSet s, OrderId order);
-
 /// Replays the decisions recorded in `scratch` by the immediately
 /// preceding RunDpInto on `ctx` into a plan tree (including the final
-/// ORDER BY enforcer when one was charged).
+/// ORDER BY enforcer when one was charged). Every node's est_pages
+/// annotation is the page estimate cached in the slot of the subset it
+/// covers — DpContext's mean page counts for the scalar providers,
+/// per-subset size-distribution means for Algorithm D.
 PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch);
 
-/// The objective-only DP core: fills `result` (objective, counters; plan
-/// left null) using `scratch` for all mutable state. Steady-state
-/// allocation-free: after one warm-up call on a same-shape query, repeat
-/// calls never touch the heap. See RunDp for the semantics.
+// ---------------------------------------------------------------------------
+// Step contexts: each distinct join step costed once.
+//
+// Once RunDpInto fixes a (S_j, j) pair, a step's operands (the left and
+// right input sizes, the phase) are fixed too, so its cost depends only on
+// (method, left_sorted, inner_sorted) — yet every left entry, sort-merge
+// key and inner alternative of the pair asks again. A step context is the
+// pair's stack-held memo: it runs each distinct (method, left_sorted,
+// inner_sorted) cost and the inner's enforcer sort cost at most once.
+// Counters are charged per use, memoized or not: cost_evaluations keeps
+// counting the paper's formula applications per candidate (the units of
+// Theorems 3.2/3.3), not the memo's work.
+// ---------------------------------------------------------------------------
+
+namespace internal {
+
+/// Slots of a step memo: one per (method, left_sorted, inner_sorted).
+inline constexpr size_t kStepSlots =
+    4 * (static_cast<size_t>(JoinMethod::kHybridHash) + 1);
+
+inline size_t StepSlot(JoinMethod method, bool left_sorted,
+                       bool inner_sorted) {
+  return 4 * static_cast<size_t>(method) + 2 * size_t{left_sorted} +
+         size_t{inner_sorted};
+}
+
+}  // namespace internal
+
+/// A provider that supplies RunDpInto's costing hooks itself instead of
+/// JoinCost/SortCost — Algorithm D, whose step costs are expectations over
+/// result-size distributions (optimizer/algorithm_d.h):
+///
+///   * LeafCost(p): relation p's access cost, its depth-1 entry.
+///   * SlotPages(s): the page estimate live subset s's slot caches — the
+///     plan annotation, and the left input size of every step above it.
+///   * Step(left, j, phase): the step context of joining j to the subset
+///     of slot `left`. Its Join(method, left_sorted, inner_sorted,
+///     &evaluations) and Enforcer(&evaluations) return a step's cost and
+///     the inner's sort-enforcer cost, each adding the provider's charge
+///     for that use to `evaluations`.
+///   * RootSort(s, pages, phase, &evaluations): the final ORDER BY sort
+///     over the whole query, with its charge.
+///
+/// Such a provider exposes no floors, so pruning stays compiled out.
+/// Plain DpCostProviders get these hooks from internal::ScalarSteps.
+template <typename P>
+concept DpStepProvider =
+    requires(const P& p, QueryPos j, TableSet s, const DpSlot& left,
+             int phase, double pages, size_t* evaluations, JoinMethod m,
+             bool sorted) {
+      { p.LeafCost(j) } -> std::convertible_to<double>;
+      { p.SlotPages(s) } -> std::convertible_to<double>;
+      {
+        p.Step(left, j, phase).Join(m, sorted, sorted, evaluations)
+      } -> std::convertible_to<double>;
+      { p.Step(left, j, phase).Enforcer(evaluations) }
+          -> std::convertible_to<double>;
+      { p.RootSort(s, pages, phase, evaluations) }
+          -> std::convertible_to<double>;
+    };
+
+namespace internal {
+
+/// RunDpInto's hooks for a plain DpCostProvider: leaves cost their mean
+/// page count, slots cache DpContext::SubsetPages, and a step context
+/// memoizes the provider's JoinCost and enforcer SortCost at the pair's
+/// fixed sizes and phase. Every use charges one cost evaluation.
 template <DpCostProvider P>
-void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
-               OptimizeResult* result) {
+class ScalarSteps {
+ public:
+  class StepContext {
+   public:
+    StepContext(const P& cost, double left_pages, double right_pages,
+                int phase)
+        : cost_(&cost),
+          left_pages_(left_pages),
+          right_pages_(right_pages),
+          phase_(phase) {}
+
+    double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
+                size_t* evaluations) {
+      ++*evaluations;
+      size_t slot = StepSlot(method, left_sorted, inner_sorted);
+      if (!(done_ >> slot & 1)) {
+        value_[slot] = cost_->JoinCost(method, left_pages_, right_pages_,
+                                       left_sorted, inner_sorted, phase_);
+        done_ |= uint32_t{1} << slot;
+      }
+      return value_[slot];
+    }
+
+    double Enforcer(size_t* evaluations) {
+      ++*evaluations;
+      if (!have_enforcer_) {
+        enforcer_ = cost_->SortCost(right_pages_, phase_);
+        have_enforcer_ = true;
+      }
+      return enforcer_;
+    }
+
+   private:
+    const P* cost_;
+    double left_pages_;
+    double right_pages_;
+    int phase_;
+    uint32_t done_ = 0;  ///< bit StepSlot(...) set once value_ holds it
+    bool have_enforcer_ = false;
+    double enforcer_ = 0;
+    double value_[kStepSlots];
+  };
+
+  ScalarSteps(const DpContext& ctx, const P& cost) : ctx_(&ctx), cost_(&cost) {}
+
+  double LeafCost(QueryPos p) const { return ctx_->TablePages(p); }
+  double SlotPages(TableSet s) const { return ctx_->SubsetPages(s); }
+  StepContext Step(const DpSlot& left, QueryPos j, int phase) const {
+    return StepContext(*cost_, left.pages, ctx_->TablePages(j), phase);
+  }
+  double RootSort(TableSet, double pages, int phase,
+                  size_t* evaluations) const {
+    ++*evaluations;
+    return cost_->SortCost(pages, phase);
+  }
+
+ private:
+  const DpContext* ctx_;
+  const P* cost_;
+};
+
+/// The DP core behind RunDpInto: `steps` supplies the costing hooks (see
+/// DpStepProvider), `cost` the branch-and-bound floors when it is a
+/// DpPruningProvider.
+template <typename S, typename P>
+void RunDpCore(const DpContext& ctx, const S& steps, const P& cost,
+               DpScratch* scratch, OptimizeResult* result) {
   const Query& query = ctx.query();
   const OptimizerOptions& opts = ctx.options();
   int n = ctx.num_tables();
@@ -584,12 +707,12 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
   result->pruned_entries = 0;
   result->incumbent_cost_evaluations = 0;
 
-  // Depth 1: access paths (scan cost = pages, memory-independent).
+  // Depth 1: access paths.
   for (QueryPos p = 0; p < n; ++p) {
     TableSet s = TableSet{1} << p;
     scratch->OpenSlot(s);
-    scratch->RetainBest(kUnsorted, ctx.TablePages(p), DpDecision{});
-    scratch->CloseSlot([&] { return ctx.SubsetPages(s); });
+    scratch->RetainBest(kUnsorted, steps.LeafCost(p), DpDecision{});
+    scratch->CloseSlot([&] { return steps.SlotPages(s); });
   }
 
   // Cost-bounded pruning (branch-and-bound). Seed an incumbent from a
@@ -612,7 +735,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
         opts.dp_pruning == DpPruning::kOn ||
         (opts.dp_pruning == DpPruning::kAuto && P::kPruningDefaultOn);
     if (want && !opts.join_methods.empty() && n >= 2) {
-      double incumbent = internal::GreedyIncumbent(ctx, cost, scratch, result);
+      double incumbent = GreedyIncumbent(ctx, cost, scratch, result);
       if (std::isfinite(incumbent)) {
         prune = true;
         prune_limit = incumbent * (1.0 + 1e-9);
@@ -661,10 +784,9 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
         if (ctx.CrossProductForbidden(sj, j)) continue;
         query.ConnectingPredicatesInto(sj, j, &scratch->preds());
         const std::vector<int>& preds = scratch->preds();
-        double left_pages = left->pages;
-        double right_pages = ctx.TablePages(j);
         double right_cost =
             scratch->Entries(*scratch->Find(TableSet{1} << j))[0].cost;
+        auto step = steps.Step(*left, j, phase_idx);
 
         // Cheapest conceivable step joining j to any left entry — shared
         // by every left expansion of this (s, j) pair.
@@ -674,7 +796,8 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
             step_floor_min = std::numeric_limits<double>::infinity();
             for (JoinMethod m : opts.join_methods) {
               step_floor_min = std::min(
-                  step_floor_min, cost.StepFloor(m, left_pages, right_pages));
+                  step_floor_min,
+                  cost.StepFloor(m, left->pages, ctx.TablePages(j)));
             }
           }
         }
@@ -699,7 +822,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
             if constexpr (DpPruningProvider<P>) {
               if (prune) {
                 double floor =
-                    cost.StepFloor(method, left_pages, right_pages);
+                    cost.StepFloor(method, left->pages, ctx.TablePages(j));
                 if (left_cost + right_cost + floor + rem_after >
                     prune_limit) {
                   bool enf = sort_merge && opts.consider_sort_enforcers;
@@ -714,22 +837,19 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
               // enforcer when the options allow and SM could benefit.
               bool with_enforcer =
                   sort_merge && opts.consider_sort_enforcers;
-              double enforcer_cost = 0;
-              if (with_enforcer) {
-                ++result->cost_evaluations;
-                enforcer_cost = cost.SortCost(right_pages, phase_idx);
-              }
+              double enforcer_cost =
+                  with_enforcer ? step.Enforcer(&result->cost_evaluations)
+                                : 0.0;
               for (int inner = 0; inner < (with_enforcer ? 2 : 1); ++inner) {
                 bool inner_sorted = inner == 1;
                 ++result->candidates_considered;
                 ++result->candidates_by_phase[static_cast<size_t>(phase_idx)];
-                ++result->cost_evaluations;
                 bool left_sorted = key != kUnsorted && left_order == key;
-                double step =
-                    cost.JoinCost(method, left_pages, right_pages,
-                                  left_sorted, inner_sorted, phase_idx);
+                double step_cost = step.Join(method, left_sorted, inner_sorted,
+                                             &result->cost_evaluations);
                 double total = left_cost + right_cost +
-                               (inner_sorted ? enforcer_cost : 0.0) + step;
+                               (inner_sorted ? enforcer_cost : 0.0) +
+                               step_cost;
                 if constexpr (DpPruningProvider<P>) {
                   // Evaluated but unable to beat the incumbent once its
                   // remaining work is added: drop instead of retain. Any
@@ -754,7 +874,7 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
           }
         }
       }
-      scratch->CloseSlot([&] { return ctx.SubsetPages(s); });
+      scratch->CloseSlot([&] { return steps.SlotPages(s); });
     }
   }
 
@@ -774,8 +894,8 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
     bool needs_sort =
         query.required_order() && roots[ri].order != *query.required_order();
     if (needs_sort) {
-      ++result->cost_evaluations;
-      total += cost.SortCost(root->pages, last_phase);
+      total += steps.RootSort(root->subset, root->pages, last_phase,
+                              &result->cost_evaluations);
     }
     if (total < best) {
       best = total;
@@ -784,6 +904,28 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
     }
   }
   result->objective = best;
+}
+
+}  // namespace internal
+
+/// The objective-only DP core: fills `result` (objective, counters; plan
+/// left null) using `scratch` for all mutable state. Steady-state
+/// allocation-free: after one warm-up call on a same-shape query, repeat
+/// calls never touch the heap. See RunDp for the semantics.
+///
+/// `cost` is a DpCostProvider (costed through internal::ScalarSteps) or a
+/// DpStepProvider (its own hooks). Each (S_j, j) pair gets one step
+/// context on the stack, so each distinct step cost runs once per pair.
+template <typename P>
+  requires DpCostProvider<P> || DpStepProvider<P>
+void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
+               OptimizeResult* result) {
+  if constexpr (DpStepProvider<P>) {
+    internal::RunDpCore(ctx, cost, cost, scratch, result);
+  } else {
+    internal::RunDpCore(ctx, internal::ScalarSteps<P>(ctx, cost), cost,
+                        scratch, result);
+  }
 }
 
 /// Runs the shared single-best DP: one entry per (subset, order), costing
@@ -798,7 +940,8 @@ void RunDpInto(const DpContext& ctx, const P& cost, DpScratch* scratch,
 /// Optimize* entry points own that field (their span includes context
 /// construction and any per-phase precomputation). Direct RunDp callers
 /// that want a time wrap the call in a WallTimer themselves.
-template <DpCostProvider P>
+template <typename P>
+  requires DpCostProvider<P> || DpStepProvider<P>
 OptimizeResult RunDp(const DpContext& ctx, const P& cost) {
   OptimizeResult result;
   DpScratch* scratch = &ThreadLocalDpScratch();

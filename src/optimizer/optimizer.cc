@@ -188,6 +188,19 @@ Optimizer::Optimizer() {
 
 OptimizeResult Optimizer::Optimize(StrategyId id,
                                    const OptimizeRequest& request) const {
+  return Run(id, request, nullptr);
+}
+
+OptimizeResult Optimizer::Optimize(StrategyId id,
+                                   const OptimizeRequest& request,
+                                   std::string_view request_key,
+                                   uint64_t request_key_hash) const {
+  KnownRequestKey key{request_key, request_key_hash};
+  return Run(id, request, &key);
+}
+
+OptimizeResult Optimizer::Run(StrategyId id, const OptimizeRequest& request,
+                              const KnownRequestKey* known_key) const {
   WallTimer timer;
   RequireCore(request);
   auto it = registry_.find(id);
@@ -214,19 +227,25 @@ OptimizeResult Optimizer::Optimize(StrategyId id,
   OptimizeRequest effective = request;
   std::shared_ptr<const rewrite::RewriteOutcome> outcome;
   PlanCache* cache = request.options.plan_cache;
-  RequestKeyBuffer key;
+  RequestKeyBuffer buffer;
   std::optional<PlanCache::RequestAlias> alias;
   if (request.options.rewrite_mode == RewriteMode::kOn) {
     if (cache != nullptr) {
-      uint64_t key_hash = RequestKey::ComputeInto(id, request, &key.bytes);
+      KnownRequestKey key;
+      if (known_key != nullptr) {
+        key = *known_key;
+      } else {
+        key.hash = RequestKey::ComputeInto(id, request, &buffer.bytes);
+        key.bytes = buffer.bytes;
+      }
       if (std::optional<OptimizeResult> hit =
-              cache->LookupRequest(key.bytes, key_hash)) {
+              cache->LookupRequest(key.bytes, key.hash)) {
         hit->elapsed_seconds = timer.Seconds();
         return *std::move(hit);
       }
       alias.emplace();
       alias->key = key.bytes;
-      alias->key_hash = key_hash;
+      alias->key_hash = key.hash;
     }
     outcome = std::make_shared<rewrite::RewriteOutcome>(
         rewrite::StandardPassManager().Run(*request.query, *request.catalog,

@@ -106,6 +106,26 @@ class Optimizer {
   std::vector<StrategyId> RegisteredStrategies() const;
 
  private:
+  friend class ServePipeline;
+
+  /// Optimize for a caller that already holds the request's RequestKey
+  /// (service/plan_cache.h): `request_key` and `request_key_hash` must be
+  /// what RequestKey::ComputeInto(id, request, ...) returns under the SIMD
+  /// tier the request pins. The serving pipeline builds that key at
+  /// admission for coalescing, and hands it here so the worker does not
+  /// build it again for the plan cache's request memo.
+  OptimizeResult Optimize(StrategyId id, const OptimizeRequest& request,
+                          std::string_view request_key,
+                          uint64_t request_key_hash) const;
+
+  /// Both Optimize overloads; `key` is null when the caller has no key.
+  struct KnownRequestKey {
+    std::string_view bytes;
+    uint64_t hash = 0;
+  };
+  OptimizeResult Run(StrategyId id, const OptimizeRequest& request,
+                     const KnownRequestKey* key) const;
+
   std::map<StrategyId, StrategyFn> registry_;
 };
 

@@ -32,7 +32,7 @@ std::optional<OptimizeResult> TryEvaluate(const Query& query,
   }
   std::vector<double> table_pages(n);
   for (QueryPos p = 0; p < n; ++p) {
-    table_pages[p] = catalog.table(query.table(p)).SizeDistribution().Mean();
+    table_pages[p] = catalog.table(query.table(p)).SizeMean();
   }
   bool query_connected = query.IsConnected(query.AllTables());
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -59,9 +60,11 @@ class SelectionPushdownPass final : public RewritePass {
       // |σ(A)| = |A| · σ · 1, through the same size-propagation product the
       // DP uses for join outputs, so folded stats obey I4 exactly.
       const Table& t = unit->catalog.table(id);
+      std::optional<Distribution> point_mass;
       Distribution size = JoinSizeDistribution(
-          t.SizeDistribution(), Distribution::PointMass(1.0), combined[p],
-          unit->max_buckets, SizePropagationMode::kExactThenRebucket);
+          t.SizeDistributionRef(&point_mass), Distribution::PointMass(1.0),
+          combined[p], unit->max_buckets,
+          SizePropagationMode::kExactThenRebucket);
       Table twin;
       twin.name = t.name + "#f";
       twin.pages = t.pages * combined[p].Mean();
@@ -263,7 +266,7 @@ std::vector<uint64_t> CanonicalPositionKeys(const Query& query,
     const Table& t = catalog.table(query.table(p));
     uint64_t k = Mix2(std::bit_cast<uint64_t>(t.pages),
                       std::bit_cast<uint64_t>(t.rows_per_page));
-    keys[p] = Mix2(k, t.SizeDistribution().ContentHash());
+    keys[p] = Mix2(k, t.SizeContentHash());
   }
   std::vector<uint64_t> fold(static_cast<size_t>(n), 0);
   for (const FilterPredicate& f : query.filters()) {

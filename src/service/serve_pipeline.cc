@@ -96,26 +96,16 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
   // Key the request OUTSIDE the pipeline lock: RequestKey::ComputeInto
   // serializes the whole request, and holding mu_ across that would stall
   // every worker's completion path behind admission. The key is built
-  // under the SIMD tier a worker will pin, since the tier is part of it.
+  // under the SIMD tier a worker will pin, since the tier is part of it,
+  // and from the request a worker will run, so the worker hands it to the
+  // facade's request memo instead of building it again.
   std::optional<StrategyId> id = ParseStrategy(request.strategy);
   std::string key;
+  uint64_t key_hash = 0;
   if (id) {
-    OptimizeRequest probe;
-    probe.query = &request.workload.query;
-    probe.catalog = &request.workload.catalog;
-    probe.model = model_;
-    probe.memory = &request.memory;
-    probe.options = request.options;
-    probe.lsc_estimate = request.lsc_estimate;
-    probe.top_c = request.top_c;
-    if (request.chain) probe.chain = &*request.chain;
-    probe.seed = request.seed;
-    probe.randomized_restarts = request.randomized_restarts;
-    probe.randomized_patience = request.randomized_patience;
-    probe.sample_predicate = request.sample_predicate;
     try {
       simd::ScopedLevel simd_scope(SimdLevelFor(request.options.simd_mode));
-      RequestKey::ComputeInto(*id, probe, &key);
+      key_hash = RequestKey::ComputeInto(*id, WorkerRequest(request), &key);
     } catch (const std::exception& e) {
       id.reset();
       ServeOutcome bad;
@@ -171,6 +161,7 @@ ServeTicket ServePipeline::Submit(const serde::ServeRequest& request,
     }
     auto job = std::make_shared<Job>();
     job->key = std::move(key);
+    job->key_hash = key_hash;
     job->strategy = *id;
     job->request = request;  // the pipeline owns the payload while in flight
     job->deadline = now + deadline_budget_seconds;
@@ -203,6 +194,31 @@ void ServePipeline::WorkerLoop() {
   }
 }
 
+OptimizeRequest ServePipeline::WorkerRequest(
+    const serde::ServeRequest& request) const {
+  OptimizeRequest req;
+  req.query = &request.workload.query;
+  req.catalog = &request.workload.catalog;
+  req.model = model_;
+  req.memory = &request.memory;
+  req.options = request.options;
+  // Result-affecting per-process pointers are the pipeline's to inject:
+  // the shared plan cache is internally synchronized; the EC cache must
+  // stay detached (a shared one races, a per-worker one would make A/B
+  // objectives depend on serving history — breaking I10 bit-parity).
+  req.options.plan_cache = options_.plan_cache;
+  req.options.ec_cache = nullptr;
+  req.options.dist_arena = nullptr;
+  req.lsc_estimate = request.lsc_estimate;
+  req.top_c = request.top_c;
+  if (request.chain) req.chain = &*request.chain;
+  req.seed = request.seed;
+  req.randomized_restarts = request.randomized_restarts;
+  req.randomized_patience = request.randomized_patience;
+  req.sample_predicate = request.sample_predicate;
+  return req;
+}
+
 void ServePipeline::RunJob(Job& job) {
   // Degrade decision at dequeue: if the remaining budget cannot cover the
   // calibrated estimate of a full optimization, serve the cheaper fallback
@@ -218,28 +234,13 @@ void ServePipeline::RunJob(Job& job) {
 
   ServeOutcome outcome;
   bool computed_ok = false;
-  OptimizeRequest req;
-  req.query = &job.request.workload.query;
-  req.catalog = &job.request.workload.catalog;
-  req.model = model_;
-  req.memory = &job.request.memory;
-  req.options = job.request.options;
-  // Result-affecting per-process pointers are the pipeline's to inject:
-  // the shared plan cache is internally synchronized; the EC cache must
-  // stay detached (a shared one races, a per-worker one would make A/B
-  // objectives depend on serving history — breaking I10 bit-parity).
-  req.options.plan_cache = options_.plan_cache;
-  req.options.ec_cache = nullptr;
-  req.options.dist_arena = nullptr;
-  req.lsc_estimate = job.request.lsc_estimate;
-  req.top_c = job.request.top_c;
-  if (job.request.chain) req.chain = &*job.request.chain;
-  req.seed = job.request.seed;
-  req.randomized_restarts = job.request.randomized_restarts;
-  req.randomized_patience = job.request.randomized_patience;
-  req.sample_predicate = job.request.sample_predicate;
+  OptimizeRequest req = WorkerRequest(job.request);
   try {
-    outcome.result = optimizer_->Optimize(id, req);
+    // The admission key is the full-fidelity request's; a degraded serve
+    // runs another strategy and keys itself.
+    outcome.result = degraded
+                         ? optimizer_->Optimize(id, req)
+                         : optimizer_->Optimize(id, req, job.key, job.key_hash);
     outcome.status = ServeStatus::kOk;
     outcome.degraded = degraded;
     computed_ok = true;

@@ -241,6 +241,7 @@ class ServePipeline {
   struct Job {
     /// The RequestKey bytes: the singleflight identity.
     std::string key;
+    uint64_t key_hash = 0;
     StrategyId strategy;
     serde::ServeRequest request;
     double deadline = std::numeric_limits<double>::infinity();
@@ -249,6 +250,10 @@ class ServePipeline {
 
   void WorkerLoop();
   void RunJob(Job& job);
+  /// The OptimizeRequest a worker runs for `request`: its payload, this
+  /// pipeline's model and plan cache, and no EC cache or arena. Submit
+  /// keys this same request, so the key it builds is the worker's.
+  OptimizeRequest WorkerRequest(const serde::ServeRequest& request) const;
   static void Resolve(const std::shared_ptr<ServeTicket::State>& state,
                       ServeOutcome outcome, double now);
 

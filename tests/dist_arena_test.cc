@@ -10,6 +10,9 @@
 //   * Algorithm D's kernel pipeline reaches arena steady state: after the
 //     first optimization on a workload shape, repeat runs never grow the
 //     injected arena (heap_allocations() stops moving).
+//   * The same zero-allocation property on 10-table stars, the densest
+//     n = 10 DP: with lec_static's branch-and-bound engaged, and with
+//     Algorithm D's provider driving the same core.
 #include "dist/arena.h"
 
 #include <gtest/gtest.h>
@@ -226,6 +229,80 @@ TEST(DpAllocationTest, WarmTwentyTableChainAllocatesNothing) {
   EXPECT_EQ(g_news.load() - before, 0u)
       << "the warmed n = 20 DP core must not touch the heap";
   EXPECT_EQ(result.objective, warm_objective);
+}
+
+/// A 10-table star with spread table sizes and selectivities: every
+/// subset holding the hub is live, so each (S_j, j) pair has many left
+/// entries and keys sharing one step context.
+Workload StarWorkload() {
+  Rng rng(20261019);
+  WorkloadOptions wopts;
+  wopts.num_tables = 10;
+  wopts.shape = JoinGraphShape::kStar;
+  wopts.table_size_spread = 2.0;
+  wopts.selectivity_spread = 3.0;
+  wopts.order_by_probability = 1.0;
+  return GenerateWorkload(wopts, &rng);
+}
+
+TEST(DpAllocationTest, WarmStarAllocatesNothingWithPruning) {
+  Workload w = StarWorkload();
+  CostModelOptions mo;
+  mo.sorted_input_discount = true;
+  CostModel model(mo);
+  Distribution memory = UniformBuckets(50, 5000, 27);
+  OptimizerOptions opts;
+  opts.consider_sort_enforcers = true;  // every step-memo slot in use
+  DpContext ctx(w.query, w.catalog, opts);
+  LecStaticCostProvider lec{model, memory};
+
+  DpScratch scratch;
+  OptimizeResult result;
+  RunDpInto(ctx, lec, &scratch, &result);  // warm-up sizes the scratch
+  double warm_objective = result.objective;
+  ASSERT_GT(result.pruned_expansions + result.pruned_candidates +
+                result.pruned_entries,
+            0u)
+      << "pruning (kAuto for lec_static) must be engaged";
+
+  size_t before = g_news.load();
+  for (int round = 0; round < 3; ++round) {
+    RunDpInto(ctx, lec, &scratch, &result);
+  }
+  EXPECT_EQ(g_news.load() - before, 0u)
+      << "the warmed star DP must not touch the heap";
+  EXPECT_EQ(result.objective, warm_objective);
+}
+
+TEST(DpAllocationTest, WarmAlgorithmDStarAllocatesNothing) {
+  // Algorithm D on the shared core: its provider's per-run setup (arena
+  // reset, size records, operand memo, memory profile) and the DP itself.
+  Workload w = StarWorkload();
+  CostModel model;
+  Distribution memory({{128, 0.3}, {512, 0.4}, {2048, 0.3}});
+  OptimizerOptions opts;
+  DpContext ctx(w.query, w.catalog, opts);
+  OptimizeResult want =
+      OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts);
+
+  DpScratch scratch;
+  OptimizeResult result;
+  // Two warm-up runs: the second Reset coalesces the arena's blocks.
+  for (int round = 0; round < 2; ++round) {
+    AlgorithmDSteps steps(ctx, model, memory);
+    RunDpInto(ctx, steps, &scratch, &result);
+  }
+
+  size_t before = g_news.load();
+  for (int round = 0; round < 3; ++round) {
+    AlgorithmDSteps steps(ctx, model, memory);
+    RunDpInto(ctx, steps, &scratch, &result);
+  }
+  EXPECT_EQ(g_news.load() - before, 0u)
+      << "a warmed Algorithm D run must not touch the heap";
+  EXPECT_EQ(result.objective, want.objective);
+  EXPECT_EQ(result.cost_evaluations, want.cost_evaluations);
+  EXPECT_EQ(result.candidates_considered, want.candidates_considered);
 }
 
 TEST(DpAllocationTest, WarmPredicateLookupsIntoAllocateNothing) {

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <limits>
 #include <vector>
 
@@ -416,6 +419,69 @@ TEST(DistKernelTest, FastEcKernelsExactAtBreakpointMemories) {
     EXPECT_DOUBLE_EQ(FastEcJoin(method, a.AsView(), b.AsView(), profile),
                      NaiveEc(method, a, b, m))
         << ToString(method);
+  }
+}
+
+TEST(DistKernelTest, FusedFastEcSweepMatchesSingleKernelsBitForBit) {
+  // FastEcAllMethods shares the sweeps of the three single kernels but
+  // keeps each method's accumulation order, so its values must equal
+  // FastEcNestedLoop / FastEcSortMerge / FastEcGraceHash exactly — at
+  // every SIMD level, on 1-bucket views, on views and memory longer than
+  // kSweepInlineRun (the dispatched long-run path), and on a left view
+  // far larger than any stack buffer (the sort-merge terms wait in the
+  // caller's buffer, which has no fixed cap).
+  struct Shape {
+    size_t a, b, m;
+  };
+  const Shape shapes[] = {{1, 1, 1},  {1, 9, 3},   {9, 1, 5},
+                          {27, 27, 9}, {5, 200, 40}, {200, 5, 64},
+                          {5000, 27, 27}, {3, 4000, 100}};
+  DistArena arena;
+  Rng rng(2026);
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 8; ++trial) {
+      Distribution a(RandomRawBuckets(&rng, shape.a, trial % 2 == 1));
+      Distribution b(RandomRawBuckets(&rng, shape.b, trial % 2 == 1));
+      std::vector<Bucket> mb;
+      for (size_t i = 0; i < shape.m; ++i) {
+        // Memory straddles the inputs' √, ∛ and S + 2 breakpoints.
+        mb.push_back({rng.LogUniform(2, 5000), rng.Uniform(0.05, 1.0)});
+      }
+      Distribution m(std::move(mb));
+      for (simd::Level level : SupportedLevels()) {
+        simd::ScopedLevel pin(level);
+        arena.Reset();
+        EcMemoryProfile profile = BuildEcMemoryProfile(m.AsView(), &arena);
+        DistView av = a.AsView();
+        DistView bv = b.AsView();
+        FastEcByMethod fused =
+            FastEcAllMethods(av, bv, profile, a.Mean(), b.Mean(),
+                             arena.AllocDoubles(av.n));
+        std::string where = std::string(simd::LevelName(level)) +
+                            " a.n=" + std::to_string(av.n) +
+                            " b.n=" + std::to_string(bv.n) +
+                            " m.n=" + std::to_string(m.size());
+        EXPECT_EQ(std::bit_cast<uint64_t>(fused.nested_loop),
+                  std::bit_cast<uint64_t>(FastEcNestedLoop(
+                      av, bv, m.AsView(), a.Mean(), b.Mean())))
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(fused.sort_merge),
+                  std::bit_cast<uint64_t>(FastEcSortMerge(av, bv, profile)))
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(fused.grace_hash),
+                  std::bit_cast<uint64_t>(FastEcGraceHash(
+                      av, bv, profile, a.Mean(), b.Mean())))
+            << where;
+        for (JoinMethod method : {JoinMethod::kNestedLoop,
+                                  JoinMethod::kSortMerge,
+                                  JoinMethod::kGraceHash}) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(fused.Of(method)),
+                    std::bit_cast<uint64_t>(FastEcJoin(
+                        method, av, bv, profile, a.Mean(), b.Mean())))
+              << ToString(method) << " " << where;
+        }
+      }
+    }
   }
 }
 

@@ -452,6 +452,51 @@ TEST_F(ServePipelineTest, MissThenInsertRaceCostsExactlyOneComputation) {
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
+TEST_F(ServePipelineTest, MemoHitServedWithAdmissionKeyIsBitIdentical) {
+  // The worker hands the key Submit built to the facade's request memo.
+  // A repeat served through that memo must be bit-identical to a direct,
+  // uncached Optimize, and a direct Optimize on the same cache (which
+  // builds its own key) must find the same alias.
+  for (const char* strategy : {"lec_static", "algorithm_d"}) {
+    PlanCache cache;
+    ServePipeline::Options opts;
+    opts.workers = 1;
+    opts.plan_cache = &cache;
+    ServePipeline pipeline(opts);
+
+    serde::ServeRequest request = MakeRequest(70, strategy, 6);
+    request.options.rewrite_mode = RewriteMode::kOn;
+    StrategyId id = *ParseStrategy(strategy);
+    OptimizeResult expected = Reference(request, id, model_, plain_);
+
+    ServeTicket first_ticket = pipeline.Submit(request);
+    const ServeOutcome& first = first_ticket.Wait();
+    ASSERT_EQ(first.status, ServeStatus::kOk) << first.error;
+    EXPECT_EQ(cache.stats().rewrites_skipped, 0u);
+    ServeTicket repeat_ticket = pipeline.Submit(request);
+    const ServeOutcome& repeat = repeat_ticket.Wait();
+    ASSERT_EQ(repeat.status, ServeStatus::kOk) << repeat.error;
+    EXPECT_EQ(cache.stats().rewrites_skipped, 1u) << strategy;
+    ExpectBitEqual(first.result, expected);
+    ExpectBitEqual(repeat.result, expected);
+    ASSERT_NE(repeat.result.rewrite, nullptr);
+    EXPECT_EQ(repeat.result.rewrite, first.result.rewrite);
+
+    OptimizeRequest direct;
+    direct.query = &request.workload.query;
+    direct.catalog = &request.workload.catalog;
+    direct.model = &model_;
+    direct.memory = &request.memory;
+    direct.options = request.options;
+    direct.options.plan_cache = &cache;
+    direct.seed = request.seed;
+    OptimizeResult direct_hit = plain_.Optimize(id, direct);
+    EXPECT_EQ(cache.stats().rewrites_skipped, 2u) << strategy;
+    ExpectBitEqual(direct_hit, expected);
+    EXPECT_EQ(cache.stats().misses, 1u);
+  }
+}
+
 TEST_F(ServePipelineTest, CoalesceOffAblationComputesEveryDuplicate) {
   Gate gate;
   std::atomic<int> computes{0};
