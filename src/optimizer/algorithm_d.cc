@@ -290,14 +290,6 @@ double AlgorithmDSteps::StepContext::Join(JoinMethod method, bool left_sorted,
   bool fast = d.ctx_->options().use_fast_ec &&
               FastPathValid(*d.model_, method, left_sorted, inner_sorted);
   size_t weight = fast ? a.n + b.n + d.mem_.n : a.n * b.n * d.mem_.n;
-  size_t slot = internal::StepSlot(method, left_sorted, inner_sorted);
-  auto memoized = [&](auto&& compute) {
-    if (!(done_ >> slot & 1)) {
-      memo_[slot] = compute();
-      done_ |= uint32_t{1} << slot;
-    }
-    return memo_[slot];
-  };
   auto naive = [&]() {
     return ExpectedJoinCostView(*d.model_, method, a, b, d.mem_, left_sorted,
                                 inner_sorted);
@@ -306,7 +298,7 @@ double AlgorithmDSteps::StepContext::Join(JoinMethod method, bool left_sorted,
     // Every use is charged, memoized or not. The fast path's values do not
     // depend on the sorted flags, so one fused sweep serves the pair.
     *evaluations += weight;
-    if (!fast) return memoized(naive);
+    if (!fast) return memo_.Join(method, left_sorted, inner_sorted, naive);
     if (!have_fast_) {
       fast_ = FastEcAllMethods(a, b, d.profile_, left_->mean, right_->mean,
                                d.SortMergeTerms(a.n));
@@ -316,7 +308,7 @@ double AlgorithmDSteps::StepContext::Join(JoinMethod method, bool left_sorted,
   }
   // Each distinct triple meets the cache once per pair, in first-use
   // order; only a miss runs (and is charged) the formula.
-  return memoized([&]() {
+  return memo_.Join(method, left_sorted, inner_sorted, [&]() {
     return d.cache_->JoinEcView(
         method, left_sorted, inner_sorted, a, left_->hash, b, right_->hash,
         d.mem_, d.mem_hash_, [&]() -> double {
@@ -329,11 +321,7 @@ double AlgorithmDSteps::StepContext::Join(JoinMethod method, bool left_sorted,
 }
 
 double AlgorithmDSteps::StepContext::Enforcer(size_t*) {
-  if (!have_enforcer_) {
-    enforcer_ = d_->SortEc(*right_);
-    have_enforcer_ = true;
-  }
-  return enforcer_;
+  return memo_.Enforcer([&] { return d_->SortEc(*right_); });
 }
 
 OptimizeResult OptimizeAlgorithmD(const Query& query, const Catalog& catalog,

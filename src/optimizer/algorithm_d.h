@@ -70,12 +70,9 @@ class AlgorithmDSteps {
     const AlgorithmDSteps* d_;
     const SizeRecord* left_;
     const SizeRecord* right_;
-    uint32_t done_ = 0;  ///< bit internal::StepSlot(...) set once memo_ holds it
+    StepMemo memo_;
     bool have_fast_ = false;
-    bool have_enforcer_ = false;
-    FastEcByMethod fast_;
-    double enforcer_ = 0;
-    double memo_[internal::kStepSlots];
+    FastEcByMethod fast_;  ///< the fused sweep's values, once have_fast_
   };
 
   AlgorithmDSteps(const DpContext& ctx, const CostModel& model,

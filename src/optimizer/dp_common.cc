@@ -20,10 +20,13 @@ DpContext::DpContext(const Query& query, const Catalog& catalog,
   }
   pred_tables_.reserve(query.num_predicates());
   pred_selectivity_.reserve(query.num_predicates());
+  neighbors_.assign(static_cast<size_t>(n), 0);
   for (const JoinPredicate& pred : query.predicates()) {
     pred_tables_.push_back(TableSet{1} << pred.left |
                            TableSet{1} << pred.right);
     pred_selectivity_.push_back(pred.selectivity.Mean());
+    neighbors_[static_cast<size_t>(pred.left)] |= TableSet{1} << pred.right;
+    neighbors_[static_cast<size_t>(pred.right)] |= TableSet{1} << pred.left;
   }
   query_connected_ = query.IsConnected(query.AllTables());
 }
@@ -135,7 +138,10 @@ double DpContext::ComputeMinSubsetPages() const {
 bool DpContext::CrossProductForbidden(TableSet subset, QueryPos j) const {
   if (!options_.avoid_cross_products) return false;
   if (!query_connected_) return false;
-  return !query_->HasConnectingPredicate(subset, j);
+  // Query::HasConnectingPredicate(subset, j), from the neighbor masks.
+  bool connected = !(subset >> j & 1) &&
+                   (neighbors_[static_cast<size_t>(j)] & subset) != 0;
+  return !connected;
 }
 
 void DpScratch::Prepare(int num_tables, int num_predicates) {

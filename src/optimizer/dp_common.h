@@ -231,6 +231,8 @@ class DpContext {
   /// Per predicate: its endpoints as a TableSet, and its mean selectivity.
   std::vector<TableSet> pred_tables_;
   std::vector<double> pred_selectivity_;
+  /// Per relation: the relations it shares a predicate with.
+  std::vector<TableSet> neighbors_;
   mutable double min_subset_pages_ = 0;
   mutable bool min_subset_pages_ready_ = false;
   bool query_connected_ = true;
@@ -570,19 +572,37 @@ PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch);
 // Theorems 3.2/3.3), not the memo's work.
 // ---------------------------------------------------------------------------
 
-namespace internal {
+/// The memo of one step context: each (method, left_sorted, inner_sorted)
+/// step cost and the inner's enforcer sort cost, computed at most once.
+class StepMemo {
+ public:
+  template <typename F>
+  double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
+              F&& compute) {
+    size_t slot = 4 * static_cast<size_t>(method) + 2 * size_t{left_sorted} +
+                  size_t{inner_sorted};
+    if (!(done_ >> slot & 1)) {
+      value_[slot] = compute();
+      done_ |= uint32_t{1} << slot;
+    }
+    return value_[slot];
+  }
 
-/// Slots of a step memo: one per (method, left_sorted, inner_sorted).
-inline constexpr size_t kStepSlots =
-    4 * (static_cast<size_t>(JoinMethod::kHybridHash) + 1);
+  template <typename F>
+  double Enforcer(F&& compute) {
+    if (!have_enforcer_) {
+      enforcer_ = compute();
+      have_enforcer_ = true;
+    }
+    return enforcer_;
+  }
 
-inline size_t StepSlot(JoinMethod method, bool left_sorted,
-                       bool inner_sorted) {
-  return 4 * static_cast<size_t>(method) + 2 * size_t{left_sorted} +
-         size_t{inner_sorted};
-}
-
-}  // namespace internal
+ private:
+  uint32_t done_ = 0;  ///< bit `slot` set once value_[slot] holds it
+  bool have_enforcer_ = false;
+  double enforcer_ = 0;
+  double value_[4 * (static_cast<size_t>(JoinMethod::kHybridHash) + 1)];
+};
 
 /// A provider that supplies RunDpInto's costing hooks itself instead of
 /// JoinCost/SortCost — Algorithm D, whose step costs are expectations over
@@ -626,45 +646,25 @@ namespace internal {
 template <DpCostProvider P>
 class ScalarSteps {
  public:
-  class StepContext {
-   public:
-    StepContext(const P& cost, double left_pages, double right_pages,
-                int phase)
-        : cost_(&cost),
-          left_pages_(left_pages),
-          right_pages_(right_pages),
-          phase_(phase) {}
-
+  struct StepContext {
     double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
                 size_t* evaluations) {
       ++*evaluations;
-      size_t slot = StepSlot(method, left_sorted, inner_sorted);
-      if (!(done_ >> slot & 1)) {
-        value_[slot] = cost_->JoinCost(method, left_pages_, right_pages_,
-                                       left_sorted, inner_sorted, phase_);
-        done_ |= uint32_t{1} << slot;
-      }
-      return value_[slot];
+      return memo.Join(method, left_sorted, inner_sorted, [&] {
+        return cost->JoinCost(method, left_pages, right_pages, left_sorted,
+                              inner_sorted, phase);
+      });
     }
-
     double Enforcer(size_t* evaluations) {
       ++*evaluations;
-      if (!have_enforcer_) {
-        enforcer_ = cost_->SortCost(right_pages_, phase_);
-        have_enforcer_ = true;
-      }
-      return enforcer_;
+      return memo.Enforcer([&] { return cost->SortCost(right_pages, phase); });
     }
 
-   private:
-    const P* cost_;
-    double left_pages_;
-    double right_pages_;
-    int phase_;
-    uint32_t done_ = 0;  ///< bit StepSlot(...) set once value_ holds it
-    bool have_enforcer_ = false;
-    double enforcer_ = 0;
-    double value_[kStepSlots];
+    const P* cost;
+    double left_pages;
+    double right_pages;
+    int phase;
+    StepMemo memo;
   };
 
   ScalarSteps(const DpContext& ctx, const P& cost) : ctx_(&ctx), cost_(&cost) {}
@@ -672,7 +672,7 @@ class ScalarSteps {
   double LeafCost(QueryPos p) const { return ctx_->TablePages(p); }
   double SlotPages(TableSet s) const { return ctx_->SubsetPages(s); }
   StepContext Step(const DpSlot& left, QueryPos j, int phase) const {
-    return StepContext(*cost_, left.pages, ctx_->TablePages(j), phase);
+    return {cost_, left.pages, ctx_->TablePages(j), phase, {}};
   }
   double RootSort(TableSet, double pages, int phase,
                   size_t* evaluations) const {
