@@ -576,6 +576,10 @@ PlanPtr MaterializeDpPlan(const DpContext& ctx, const DpScratch& scratch);
 /// step cost and the inner's enforcer sort cost, computed at most once.
 class StepMemo {
  public:
+  /// User-provided, so even a value-initialized memo leaves value_
+  /// unwritten: only done_ says which slots hold a value.
+  StepMemo() {}
+
   template <typename F>
   double Join(JoinMethod method, bool left_sorted, bool inner_sorted,
               F&& compute) {
@@ -664,7 +668,7 @@ class ScalarSteps {
     double left_pages;
     double right_pages;
     int phase;
-    StepMemo memo;
+    StepMemo memo{};
   };
 
   ScalarSteps(const DpContext& ctx, const P& cost) : ctx_(&ctx), cost_(&cost) {}
@@ -672,7 +676,7 @@ class ScalarSteps {
   double LeafCost(QueryPos p) const { return ctx_->TablePages(p); }
   double SlotPages(TableSet s) const { return ctx_->SubsetPages(s); }
   StepContext Step(const DpSlot& left, QueryPos j, int phase) const {
-    return {cost_, left.pages, ctx_->TablePages(j), phase, {}};
+    return {cost_, left.pages, ctx_->TablePages(j), phase};
   }
   double RootSort(TableSet, double pages, int phase,
                   size_t* evaluations) const {
