@@ -212,9 +212,15 @@ TableData GraceHashJoinOp(BufferPool* pool, const TableData& left,
   return out;
 }
 
-TableData NestedLoopJoinOp(BufferPool* pool, const TableData& left,
-                           const TableData& right,
-                           const JoinColumnSpec& spec) {
+// The probe and page loops below are the executor's hottest code (about
+// half of an execute_drift run). Their speed depends on where they sit
+// relative to 32-byte fetch boundaries, and so on where the linker happens
+// to place this function: a layout shift from unrelated code once made
+// execute_drift's tail latency a third slower. Aligning the function to a
+// cache line fixes the loops' offsets.
+__attribute__((aligned(64))) TableData NestedLoopJoinOp(
+    BufferPool* pool, const TableData& left, const TableData& right,
+    const JoinColumnSpec& spec) {
   size_t memory = pool->capacity();
   size_t smaller = std::min(left.num_pages(), right.num_pages());
   TableData out;
