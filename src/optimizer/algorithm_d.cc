@@ -126,10 +126,8 @@ struct AlgorithmDTables {
   /// Operand memo of the size derivation: the combined selectivity per
   /// (j, connecting predicates), staged.
   RecordTable<SelectivityRecord> selectivities;
-  /// Per relation: its own size distribution staged as the right operand,
-  /// and the relations it shares a predicate with.
+  /// Per relation: its own size distribution staged as the right operand.
   std::vector<DistView> right_operand;
-  std::vector<TableSet> neighbors;
   std::vector<int> preds;
   bool hash = false;  ///< records carry content hashes (an EcCache reads them)
 
@@ -145,10 +143,8 @@ struct AlgorithmDTables {
   size_t Release() {
     size_t bytes = sizes.Release() + selectivities.Release() +
                    right_operand.capacity() * sizeof(DistView) +
-                   neighbors.capacity() * sizeof(TableSet) +
                    preds.capacity() * sizeof(int);
     std::vector<DistView>().swap(right_operand);
-    std::vector<TableSet>().swap(neighbors);
     std::vector<int>().swap(preds);
     return bytes;
   }
@@ -181,8 +177,8 @@ const AlgorithmDSteps::SizeRecord& SizeOf(const DpContext& ctx,
   TableSet sj = s & ~(TableSet{1} << j);
   DistView left = JoinSizeOperandInto(SizeOf(ctx, t, arena, sj).view,
                                       opts.size_buckets, opts.size_mode, arena);
-  uint64_t sel_key = uint64_t{static_cast<uint32_t>(j)} << 32 |
-                     (sj & t->neighbors[static_cast<size_t>(j)]);
+  uint64_t sel_key =
+      uint64_t{static_cast<uint32_t>(j)} << 32 | (sj & ctx.Neighbors(j));
   const SelectivityRecord* sel = t->selectivities.Find(sel_key);
   if (sel == nullptr) {
     ctx.query().ConnectingPredicatesInto(sj, j, &t->preds);
@@ -220,11 +216,6 @@ AlgorithmDSteps::AlgorithmDSteps(const DpContext& ctx, const CostModel& model,
   t.selectivities.Clear();
   t.hash = cache_ != nullptr;
   t.right_operand.assign(static_cast<size_t>(n), DistView{});
-  t.neighbors.assign(static_cast<size_t>(n), 0);
-  for (const JoinPredicate& pred : query.predicates()) {
-    t.neighbors[static_cast<size_t>(pred.left)] |= TableSet{1} << pred.right;
-    t.neighbors[static_cast<size_t>(pred.right)] |= TableSet{1} << pred.left;
-  }
   // Base sizes, rebucketed to the budget: the catalog's distribution in
   // place (it outlives the run), or a point mass written into the arena.
   // Every other record is derived when its subset's slot closes live.

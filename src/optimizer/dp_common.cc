@@ -139,8 +139,7 @@ bool DpContext::CrossProductForbidden(TableSet subset, QueryPos j) const {
   if (!options_.avoid_cross_products) return false;
   if (!query_connected_) return false;
   // Query::HasConnectingPredicate(subset, j), from the neighbor masks.
-  bool connected = !(subset >> j & 1) &&
-                   (neighbors_[static_cast<size_t>(j)] & subset) != 0;
+  bool connected = !(subset >> j & 1) && (Neighbors(j) & subset) != 0;
   return !connected;
 }
 

@@ -204,6 +204,11 @@ class DpContext {
   /// memoized; a DpContext is therefore not shareable across threads.
   double MinSubsetPages() const;
 
+  /// The relations that share a predicate with relation j.
+  TableSet Neighbors(QueryPos j) const {
+    return neighbors_[static_cast<size_t>(j)];
+  }
+
   /// True if a join step extending `subset` with `j` would be a cross
   /// product that the options forbid.
   bool CrossProductForbidden(TableSet subset, QueryPos j) const;
@@ -231,8 +236,7 @@ class DpContext {
   /// Per predicate: its endpoints as a TableSet, and its mean selectivity.
   std::vector<TableSet> pred_tables_;
   std::vector<double> pred_selectivity_;
-  /// Per relation: the relations it shares a predicate with.
-  std::vector<TableSet> neighbors_;
+  std::vector<TableSet> neighbors_;  ///< see Neighbors
   mutable double min_subset_pages_ = 0;
   mutable bool min_subset_pages_ready_ = false;
   bool query_connected_ = true;
