@@ -62,32 +62,34 @@ QueryPos FlattenLeftDeep(const PlanNode* node, std::vector<JoinStep>* steps) {
 /// chain predicates carry over — boundary keys are untouched by the join
 /// routing (out col0 = low boundary, col1 = high boundary), so the
 /// intermediate joins its neighbours on exactly the original predicates'
-/// keys and selectivity distributions.
+/// keys and selectivity distributions. The world's tables are views: the
+/// originals stay where the caller keeps them, and `intermediate` must
+/// outlive the world.
 struct SuffixWorld {
   Catalog catalog;
   Query query;
-  EngineWorkload workload;
+  std::vector<const TableData*> tables;
 };
 
-SuffixWorld BuildSuffixWorld(const Query& query, const EngineWorkload& workload,
+SuffixWorld BuildSuffixWorld(const Query& query,
+                             const std::vector<const TableData*>& tables,
                              const TableData& intermediate, int lo, int hi) {
   int n = query.num_tables();
   int span = hi - lo;  // original positions folded into the intermediate
   int suffix_n = n - span;
   SuffixWorld world;
-  world.workload.tables.reserve(static_cast<size_t>(suffix_n));
+  world.tables.reserve(static_cast<size_t>(suffix_n));
   for (int p = 0; p < suffix_n; ++p) {
     bool is_intermediate = p == lo;
     int orig = p < lo ? p : p + span;
     const TableData& data =
-        is_intermediate ? intermediate
-                        : workload.tables[static_cast<size_t>(orig)];
+        is_intermediate ? intermediate : *tables[static_cast<size_t>(orig)];
     double pages = std::max<double>(static_cast<double>(data.num_pages()), 1);
     TableId id = world.catalog.AddTable(
         is_intermediate ? "intermediate" : "suffix" + std::to_string(orig),
         pages);
     world.query.AddTable(id);
-    world.workload.tables.push_back(data);
+    world.tables.push_back(&data);
   }
   for (int i = 0; i + 1 < suffix_n; ++i) {
     // Suffix predicate i joins suffix positions (i, i+1); the original
@@ -121,16 +123,20 @@ void RecordSample(ExecState* st, bool is_sort, JoinMethod method,
 }
 
 /// Executes the join pipeline of `plan` (which must not have a root sort)
-/// for the chain `query` over `workload`. `memory_by_phase` is local to
-/// this (sub)execution; `phase_offset` converts local phase indices to the
-/// global numbering in traces. Returns the joined data.
+/// for the chain `query` over `tables` (one per query position).
+/// `memory_by_phase` is local to this (sub)execution; `phase_offset`
+/// converts local phase indices to the global numbering in traces. Returns
+/// the joined data.
 TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
-                       const EngineWorkload& workload,
+                       const std::vector<const TableData*>& tables,
                        const std::vector<double>& memory_by_phase,
                        int phase_offset, ExecState* st) {
   std::vector<JoinStep> steps;
   QueryPos first = FlattenLeftDeep(plan.get(), &steps);
-  TableData cur = workload.tables.at(static_cast<size_t>(first));
+  // The outer input: a base table until the first join, then `owned`, the
+  // latest join's output. Base tables are read in place, never copied.
+  const TableData* cur = tables.at(static_cast<size_t>(first));
+  TableData owned;
   int lo = first, hi = first;
 
   for (size_t si = 0; si < steps.size(); ++si) {
@@ -162,7 +168,7 @@ TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
       throw std::invalid_argument("plan joins non-adjacent chain positions");
     }
 
-    const TableData& base = workload.tables.at(static_cast<size_t>(j));
+    const TableData& base = *tables.at(static_cast<size_t>(j));
     TableData sorted_inner;
     const TableData* inner = &base;
     uint64_t enforcer_reads = 0, enforcer_writes = 0;
@@ -179,19 +185,19 @@ TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
     bool right_sorted = step.inner_sort_enforced && spec.right_col == 0;
 
     BufferPool pool(PoolCapacity(memory));
-    double left_pages = static_cast<double>(cur.num_pages());
+    double left_pages = static_cast<double>(cur->num_pages());
     double right_pages = static_cast<double>(inner->num_pages());
     TableData joined;
     switch (step.node->method) {
       case JoinMethod::kSortMerge:
-        joined = SortMergeJoinOp(&pool, cur, *inner, spec,
+        joined = SortMergeJoinOp(&pool, *cur, *inner, spec,
                                  /*left_sorted=*/false, right_sorted);
         break;
       case JoinMethod::kGraceHash:
-        joined = GraceHashJoinOp(&pool, cur, *inner, spec);
+        joined = GraceHashJoinOp(&pool, *cur, *inner, spec);
         break;
       case JoinMethod::kNestedLoop:
-        joined = NestedLoopJoinOp(&pool, cur, *inner, spec);
+        joined = NestedLoopJoinOp(&pool, *cur, *inner, spec);
         break;
       case JoinMethod::kHybridHash:
         throw std::invalid_argument(
@@ -220,7 +226,8 @@ TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
     st->out->page_reads += trace.page_reads;
     st->out->page_writes += trace.page_writes;
 
-    cur = std::move(joined);
+    owned = std::move(joined);
+    cur = &owned;
     lo = new_lo;
     hi = new_hi;
 
@@ -229,7 +236,7 @@ TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
         st->reopt_budget > 0) {
       --st->reopt_budget;
       ++st->out->reoptimizations;
-      SuffixWorld world = BuildSuffixWorld(query, workload, cur, lo, hi);
+      SuffixWorld world = BuildSuffixWorld(query, tables, owned, lo, hi);
       std::vector<double> suffix_memory;
       int remaining = world.query.num_tables() - 1;
       suffix_memory.reserve(static_cast<size_t>(remaining));
@@ -250,12 +257,13 @@ TableData ExecuteJoins(const PlanPtr& plan, const Query& query,
       OptimizeResult replanned =
           ReoptimizeSuffix(world.query, world.catalog, costing,
                            st->options->optimizer_options);
-      return ExecuteJoins(replanned.plan, world.query, world.workload,
+      return ExecuteJoins(replanned.plan, world.query, world.tables,
                           suffix_memory,
                           phase_offset + static_cast<int>(si) + 1, st);
     }
   }
-  return cur;
+  if (cur != &owned) return *cur;  // a one-table plan: no join ran
+  return owned;
 }
 
 }  // namespace
@@ -281,7 +289,10 @@ ExecutionResult ExecutePlan(const PlanPtr& plan, const Query& query,
   st.options = &options;
   st.out = &out;
   st.reopt_budget = options.max_reoptimizations;
-  out.result = ExecuteJoins(joins, query, workload, options.memory_by_phase,
+  std::vector<const TableData*> tables;
+  tables.reserve(workload.tables.size());
+  for (const TableData& t : workload.tables) tables.push_back(&t);
+  out.result = ExecuteJoins(joins, query, tables, options.memory_by_phase,
                             /*phase_offset=*/0, &st);
   if (final_sort) {
     int last_phase = std::max(query.num_tables() - 2, 0);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "storage/external_sort.h"
@@ -41,20 +42,69 @@ std::vector<Tuple> ReadAll(BufferPool* pool, const TableData& t) {
   return out;
 }
 
+/// Chained hash index over one relation's join keys. A power-of-two
+/// `head_` array of at least 2n slots holds 1 + the newest entry of each
+/// bucket (0 = empty), `next_` links every entry to the one inserted before
+/// it in its bucket, and `keys_` keeps the keys contiguous so a probe walks
+/// its chain without touching tuples. Entries go in at the chain head, so
+/// ForEachMatch visits equal keys newest (highest index) first, as
+/// libstdc++'s unordered_multimap::equal_range does; the operators' output
+/// order (tests/golden/join_operator_outputs.txt) depends on it.
+class KeyIndex {
+ public:
+  KeyIndex(const std::vector<Tuple>& tuples, int col) {
+    size_t n = tuples.size();
+    if (n >= std::numeric_limits<uint32_t>::max()) {
+      throw std::length_error("KeyIndex holds fewer than 2^32 - 1 keys");
+    }
+    int bits = 1;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    head_.assign(size_t{1} << bits, 0);
+    next_.resize(n);
+    keys_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      int64_t key = tuples[i].cols[col];
+      size_t slot = Slot(key);
+      keys_[i] = key;
+      next_[i] = head_[slot];
+      head_[slot] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  /// Calls fn(i) for every indexed entry i whose key equals `key`, newest
+  /// first.
+  template <class Fn>
+  void ForEachMatch(int64_t key, Fn&& fn) const {
+    for (uint32_t e = head_[Slot(key)]; e != 0; e = next_[e - 1]) {
+      if (keys_[e - 1] == key) fn(size_t{e - 1});
+    }
+  }
+
+ private:
+  size_t Slot(int64_t key) const {
+    // Fibonacci hashing: the high bits of key * 2^64/phi.
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  int shift_ = 63;
+  std::vector<uint32_t> head_;
+  std::vector<uint32_t> next_;
+  std::vector<int64_t> keys_;
+};
+
 void InMemoryHashJoin(const std::vector<Tuple>& build, int build_col,
                       const std::vector<Tuple>& probe, int probe_col,
                       bool build_is_left, const JoinColumnSpec& spec,
                       TableData* out) {
-  std::unordered_multimap<int64_t, const Tuple*> table;
-  table.reserve(build.size());
-  for (const Tuple& t : build) table.emplace(t.cols[build_col], &t);
+  KeyIndex index(build, build_col);
   for (const Tuple& p : probe) {
-    auto [lo, hi] = table.equal_range(p.cols[probe_col]);
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& b = *it->second;
+    index.ForEachMatch(p.cols[probe_col], [&](size_t i) {
+      const Tuple& b = build[i];
       out->Append(build_is_left ? CombineTuples(b, p, spec)
                                 : CombineTuples(p, b, spec));
-    }
+    });
   }
 }
 
@@ -212,15 +262,9 @@ TableData GraceHashJoinOp(BufferPool* pool, const TableData& left,
   return out;
 }
 
-// The probe and page loops below are the executor's hottest code (about
-// half of an execute_drift run). Their speed depends on where they sit
-// relative to 32-byte fetch boundaries, and so on where the linker happens
-// to place this function: a layout shift from unrelated code once made
-// execute_drift's tail latency a third slower. Aligning the function to a
-// cache line fixes the loops' offsets.
-__attribute__((aligned(64))) TableData NestedLoopJoinOp(
-    BufferPool* pool, const TableData& left, const TableData& right,
-    const JoinColumnSpec& spec) {
+TableData NestedLoopJoinOp(BufferPool* pool, const TableData& left,
+                           const TableData& right,
+                           const JoinColumnSpec& spec) {
   size_t memory = pool->capacity();
   size_t smaller = std::min(left.num_pages(), right.num_pages());
   TableData out;
@@ -237,38 +281,47 @@ __attribute__((aligned(64))) TableData NestedLoopJoinOp(
     std::vector<Tuple> build_tuples = ReadAll(pool, build);
     int build_col = left_is_smaller ? spec.left_col : spec.right_col;
     int probe_col = left_is_smaller ? spec.right_col : spec.left_col;
-    std::unordered_multimap<int64_t, const Tuple*> table;
-    table.reserve(build_tuples.size());
-    for (const Tuple& t : build_tuples) table.emplace(t.cols[build_col], &t);
+    KeyIndex index(build_tuples, build_col);
     for (size_t pi = 0; pi < probe.num_pages(); ++pi) {
       pool->ChargeRead();
       for (const Tuple& p : probe.page(pi).tuples()) {
-        auto [lo, hi] = table.equal_range(p.cols[probe_col]);
-        for (auto it = lo; it != hi; ++it) {
-          const Tuple& b = *it->second;
+        index.ForEachMatch(p.cols[probe_col], [&](size_t i) {
+          const Tuple& b = build_tuples[i];
           out.Append(left_is_smaller ? CombineTuples(b, p, spec)
                                      : CombineTuples(p, b, spec));
-        }
+        });
       }
     }
     return out;
   }
-  // Page nested loops with the left as outer (the paper's |A| + |A|·|B|).
+  // Page nested loops with the left as outer, charged as the paper's
+  // |A| + |A|·|B|: each outer page is read once and the whole inner
+  // relation is rescanned per outer page. The CPU work does not rescan:
+  // every outer tuple probes an index over the inner relation once, and
+  // an outer page's matches are sorted by (inner page, outer slot, inner
+  // slot), the order the page-pair scan emits them in. Inner tuple g lives
+  // on page g / kTuplesPerPage (TableData fills every page but the last),
+  // so the key packs as page << 38 | outer slot << 32 | g.
+  static_assert(kTuplesPerPage <= 64, "outer slot packs into 6 bits");
   BufferPool::Reservation workspace = pool->Reserve(std::min<size_t>(3,
                                                                      memory));
+  std::vector<Tuple> inner = right.AllTuples();
+  KeyIndex index(inner, spec.right_col);
+  std::vector<uint64_t> matches;
   for (size_t i = 0; i < left.num_pages(); ++i) {
-    pool->ChargeRead();
+    pool->ChargeRead(1 + right.num_pages());
     const Page& lp = left.page(i);
-    for (size_t j = 0; j < right.num_pages(); ++j) {
-      pool->ChargeRead();
-      const Page& rp = right.page(j);
-      for (const Tuple& lt : lp.tuples()) {
-        for (const Tuple& rt : rp.tuples()) {
-          if (lt.cols[spec.left_col] == rt.cols[spec.right_col]) {
-            out.Append(CombineTuples(lt, rt, spec));
-          }
-        }
-      }
+    matches.clear();
+    for (size_t a = 0; a < lp.size(); ++a) {
+      index.ForEachMatch(lp.tuple(a).cols[spec.left_col], [&](size_t g) {
+        matches.push_back((uint64_t{g / kTuplesPerPage} << 38) |
+                          (uint64_t{a} << 32) | uint64_t{g});
+      });
+    }
+    std::sort(matches.begin(), matches.end());
+    for (uint64_t m : matches) {
+      out.Append(CombineTuples(lp.tuple((m >> 32) & 63),
+                               inner[m & 0xffffffffULL], spec));
     }
   }
   return out;

@@ -8,6 +8,18 @@
 // the sort-based and hash-based operators match its shape (the model's
 // stylized 2/4/6 multipliers undercount the re-read of the final pass by a
 // constant factor — see EXPERIMENTS.md).
+//
+// The charged I/O follows the paper's formulas; the CPU work does not have
+// to. Nested loops (both branches) and Grace's in-memory join probe one
+// flat hash index, once per outer tuple, so a page nested-loop join costs
+// its matches, not |A|·|B| tuple comparisons. Output ORDER is part of the
+// contract (tests/golden/join_operator_outputs.txt pins it with the I/O):
+//   * resident nested loops and Grace's in-memory join: probe tuples in
+//     storage order, each probe's matches newest build tuple first;
+//   * page nested loops: per outer page, matches by (inner page, outer
+//     slot, inner slot), the order of a page-pair scan;
+//   * sort-merge: key groups in key order, each left-major over both
+//     sides' stably sorted tuples.
 #ifndef LECOPT_STORAGE_JOIN_OPERATORS_H_
 #define LECOPT_STORAGE_JOIN_OPERATORS_H_
 

@@ -14,7 +14,10 @@ size_t TableData::num_tuples() const {
 }
 
 void TableData::Append(const Tuple& t) {
-  if (pages_.empty() || pages_.back().Full()) pages_.emplace_back();
+  if (pages_.empty() || pages_.back().Full()) {
+    // One allocation per page instead of the vector's 1, 2, 4, ... 64.
+    pages_.emplace_back().mutable_tuples().reserve(kTuplesPerPage);
+  }
   pages_.back().Append(t);
 }
 

@@ -12,7 +12,9 @@
 namespace lec {
 
 /// A relation stored as a sequence of pages ("on disk"). All operator I/O
-/// against it is charged through the BufferPool.
+/// against it is charged through the BufferPool. Append fills every page
+/// but the last, so tuple i in storage order lives on page
+/// i / kTuplesPerPage.
 class TableData {
  public:
   TableData() = default;

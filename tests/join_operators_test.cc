@@ -1,11 +1,13 @@
 #include "storage/join_operators.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.h"
 #include "storage/external_sort.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace lec {
@@ -68,6 +70,98 @@ INSTANTIATE_TEST_SUITE_P(
     MethodsAndCases, JoinCorrectnessTest,
     ::testing::Combine(::testing::ValuesIn(kAllJoinMethods),
                        ::testing::Values(0, 1, 2, 3)));
+
+// Edge cases for the operators' hash index and page loops, each run
+// through both nested-loop branches and both Grace regimes.
+struct EdgeShape {
+  const char* name;
+  size_t left_tuples;
+  size_t right_tuples;
+  int64_t key_range;
+};
+
+const EdgeShape kEdgeShapes[] = {
+    // One key: a single hash chain holds every build tuple.
+    {"one_key", 200, 130, 1},
+    {"empty_outer", 0, 130, 4},
+    {"empty_inner", 200, 0, 4},
+    {"both_empty", 0, 0, 4},
+    // Single-tuple pages: whole relations of one tuple, and last pages
+    // holding one tuple after full ones.
+    {"single_tuple_relations", 1, 1, 1},
+    {"single_tuple_last_pages", 65, 129, 3},
+};
+
+enum class OperatorBranch { kNlPageLoops, kNlResident, kGraceRecursive,
+                            kGraceOnePass };
+
+TableData EdgeTable(size_t tuples, int64_t key_range, uint64_t salt,
+                    Rng* rng) {
+  TableData out;
+  for (size_t i = 0; i < tuples; ++i) {
+    Tuple t;
+    t.cols[0] = rng->UniformInt(0, key_range - 1);
+    t.cols[1] = static_cast<int64_t>(i);
+    t.payload = static_cast<int64_t>(SplitMix64(salt + i));
+    out.Append(t);
+  }
+  return out;
+}
+
+class JoinEdgeCaseTest
+    : public ::testing::TestWithParam<std::tuple<OperatorBranch, int>> {};
+
+TEST_P(JoinEdgeCaseTest, MatchesNaiveReference) {
+  auto [branch, shape_idx] = GetParam();
+  const EdgeShape& shape = kEdgeShapes[shape_idx];
+  Rng rng(static_cast<uint64_t>(shape_idx) + 41);
+  TableData left = EdgeTable(shape.left_tuples, shape.key_range, 0, &rng);
+  TableData right =
+      EdgeTable(shape.right_tuples, shape.key_range, 1ULL << 40, &rng);
+  JoinColumnSpec spec;  // join on col0 = col0
+  TableData expected = NaiveJoinReference(left, right, spec);
+  if (shape.key_range == 1) {
+    // One key: the result is the full cross product.
+    ASSERT_EQ(expected.num_tuples(), shape.left_tuples * shape.right_tuples);
+  }
+  uint64_t a = left.num_pages(), b = right.num_pages();
+  TableData got;
+  switch (branch) {
+    case OperatorBranch::kNlPageLoops: {
+      BufferPool pool(1);  // below smaller + 2 even for an empty side
+      got = NestedLoopJoinOp(&pool, left, right, spec);
+      EXPECT_EQ(pool.reads(), a + a * b) << "page-loop branch";
+      break;
+    }
+    case OperatorBranch::kNlResident: {
+      BufferPool pool(64);
+      got = NestedLoopJoinOp(&pool, left, right, spec);
+      EXPECT_EQ(pool.reads(), a + b) << "resident branch";
+      break;
+    }
+    case OperatorBranch::kGraceRecursive: {
+      BufferPool pool(3);
+      got = GraceHashJoinOp(&pool, left, right, spec);
+      break;
+    }
+    case OperatorBranch::kGraceOnePass: {
+      BufferPool pool(64);
+      got = GraceHashJoinOp(&pool, left, right, spec);
+      break;
+    }
+  }
+  EXPECT_EQ(got.num_tuples(), expected.num_tuples()) << shape.name;
+  EXPECT_EQ(PayloadMultiset(got), PayloadMultiset(expected)) << shape.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BranchesAndShapes, JoinEdgeCaseTest,
+    ::testing::Combine(::testing::Values(OperatorBranch::kNlPageLoops,
+                                         OperatorBranch::kNlResident,
+                                         OperatorBranch::kGraceRecursive,
+                                         OperatorBranch::kGraceOnePass),
+                       ::testing::Range(0, static_cast<int>(std::size(
+                                               kEdgeShapes)))));
 
 TEST(JoinOperatorsTest, ColumnSpecRoutesOutputs) {
   Rng rng(1);
