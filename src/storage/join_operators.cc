@@ -94,11 +94,12 @@ class KeyIndex {
   std::vector<int64_t> keys_;
 };
 
-void InMemoryHashJoin(const std::vector<Tuple>& build, int build_col,
-                      const std::vector<Tuple>& probe, int probe_col,
-                      bool build_is_left, const JoinColumnSpec& spec,
-                      TableData* out) {
-  KeyIndex index(build, build_col);
+/// Appends every match of each `probe` tuple against `index` (built over
+/// `build`), probe tuples in order and each one's matches newest first.
+void ProbeIndex(const KeyIndex& index, const std::vector<Tuple>& build,
+                const std::vector<Tuple>& probe, int probe_col,
+                bool build_is_left, const JoinColumnSpec& spec,
+                TableData* out) {
   for (const Tuple& p : probe) {
     index.ForEachMatch(p.cols[probe_col], [&](size_t i) {
       const Tuple& b = build[i];
@@ -106,6 +107,14 @@ void InMemoryHashJoin(const std::vector<Tuple>& build, int build_col,
                                 : CombineTuples(p, b, spec));
     });
   }
+}
+
+void InMemoryHashJoin(const std::vector<Tuple>& build, int build_col,
+                      const std::vector<Tuple>& probe, int probe_col,
+                      bool build_is_left, const JoinColumnSpec& spec,
+                      TableData* out) {
+  ProbeIndex(KeyIndex(build, build_col), build, probe, probe_col,
+             build_is_left, spec, out);
 }
 
 /// Recursive Grace partition-and-join.
@@ -284,13 +293,8 @@ TableData NestedLoopJoinOp(BufferPool* pool, const TableData& left,
     KeyIndex index(build_tuples, build_col);
     for (size_t pi = 0; pi < probe.num_pages(); ++pi) {
       pool->ChargeRead();
-      for (const Tuple& p : probe.page(pi).tuples()) {
-        index.ForEachMatch(p.cols[probe_col], [&](size_t i) {
-          const Tuple& b = build_tuples[i];
-          out.Append(left_is_smaller ? CombineTuples(b, p, spec)
-                                     : CombineTuples(p, b, spec));
-        });
-      }
+      ProbeIndex(index, build_tuples, probe.page(pi).tuples(), probe_col,
+                 /*build_is_left=*/left_is_smaller, spec, &out);
     }
     return out;
   }
