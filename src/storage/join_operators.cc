@@ -109,14 +109,6 @@ void ProbeIndex(const KeyIndex& index, const std::vector<Tuple>& build,
   }
 }
 
-void InMemoryHashJoin(const std::vector<Tuple>& build, int build_col,
-                      const std::vector<Tuple>& probe, int probe_col,
-                      bool build_is_left, const JoinColumnSpec& spec,
-                      TableData* out) {
-  ProbeIndex(KeyIndex(build, build_col), build, probe, probe_col,
-             build_is_left, spec, out);
-}
-
 /// Recursive Grace partition-and-join.
 void GraceRecurse(BufferPool* pool, std::vector<Tuple> left,
                   std::vector<Tuple> right, const JoinColumnSpec& spec,
@@ -132,11 +124,11 @@ void GraceRecurse(BufferPool* pool, std::vector<Tuple> left,
   if (depth > 0 && (build_pages + 2 <= memory || depth >= kMaxDepth)) {
     pool->ChargeRead(left_pages + right_pages);  // read both partitions
     if (left_pages <= right_pages) {
-      InMemoryHashJoin(left, spec.left_col, right, spec.right_col,
-                       /*build_is_left=*/true, spec, out);
+      ProbeIndex(KeyIndex(left, spec.left_col), left, right, spec.right_col,
+                 /*build_is_left=*/true, spec, out);
     } else {
-      InMemoryHashJoin(right, spec.right_col, left, spec.left_col,
-                       /*build_is_left=*/false, spec, out);
+      ProbeIndex(KeyIndex(right, spec.right_col), right, left, spec.left_col,
+                 /*build_is_left=*/false, spec, out);
     }
     return;
   }
