@@ -10,9 +10,10 @@
 // constant factor — see EXPERIMENTS.md).
 //
 // The charged I/O follows the paper's formulas; the CPU work does not have
-// to. Nested loops (both branches) and Grace's in-memory join probe one
-// flat hash index, once per outer tuple, so a page nested-loop join costs
-// its matches, not |A|·|B| tuple comparisons. Output ORDER is part of the
+// to. Nested loops (both branches) and Grace's in-memory join look each
+// probe-side tuple up once in a flat hash index, so a page nested-loop
+// join (probing with the outer) costs its matches, not |A|·|B| tuple
+// comparisons. Output ORDER is part of the
 // contract (tests/golden/join_operator_outputs.txt pins it with the I/O):
 //   * resident nested loops and Grace's in-memory join: probe tuples in
 //     storage order, each probe's matches newest build tuple first;
