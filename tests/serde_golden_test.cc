@@ -9,6 +9,9 @@
 //                              algorithm_d entries for the same workload
 //   query_signature_v3.bin     the raw canonical QuerySignature bytes
 //                              (schema v3) of the lec_static request
+//   query_signature_v3_algorithm_{a,b}.bin
+//                              the same for algorithm_a and algorithm_b,
+//                              whose knob slots the cache key also writes
 //   serde_snapshot_v1.txt      the same bundle as written by the previous
 //                              wire format (version-2 stream; the name
 //                              predates the by-version convention)
@@ -39,6 +42,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "dist/simd.h"
 #include "service/plan_cache.h"
@@ -172,9 +176,18 @@ TEST_F(SerdeGoldenTest, GoldenBundleDeserializesAndReproducesTheObjective) {
 TEST_F(SerdeGoldenTest, QuerySignatureBytesAreByteStable) {
   // The schema-v3 canonical signature, pinned raw: these bytes are the
   // plan cache's key, so any drift silently severs every warm snapshot.
-  QuerySignature sig =
-      QuerySignature::Compute(StrategyId::kLecStatic, RequestFor(nullptr));
-  CheckGolden("query_signature_v3.bin", sig.canonical);
+  // algorithm_a and algorithm_b also pin their knob slots, which still
+  // write the constant of the retired per-worker memo cache.
+  const std::pair<StrategyId, const char*> kCases[] = {
+      {StrategyId::kLecStatic, "query_signature_v3.bin"},
+      {StrategyId::kAlgorithmA, "query_signature_v3_algorithm_a.bin"},
+      {StrategyId::kAlgorithmB, "query_signature_v3_algorithm_b.bin"},
+  };
+  for (const auto& [id, name] : kCases) {
+    SCOPED_TRACE(name);
+    QuerySignature sig = QuerySignature::Compute(id, RequestFor(nullptr));
+    CheckGolden(name, sig.canonical);
+  }
 }
 
 TEST_F(SerdeGoldenTest, PlanCacheSnapshotIsByteStableAndServes) {
