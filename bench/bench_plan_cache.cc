@@ -4,8 +4,8 @@
 //   * a PlanCache hit (signature + sharded lookup + result copy) beats a
 //     cold lec_static optimization of the n=10 chain workload by >= 12x
 //     (the bar was 20x before PR 10 halved the cold path itself);
-//   * under the batch driver, a warm shared cache turns a repeated-query
-//     corpus into ~pure hits, multiplying throughput;
+//   * through the serving pipeline, a warm shared cache turns a
+//     repeated-query corpus into pure hits, multiplying throughput;
 //   * snapshot save -> load -> serve round-trips in milliseconds and the
 //     served results are bit-identical to recompute (verified here, so the
 //     perf gate cannot pass on a cache that got fast by being wrong).
@@ -18,12 +18,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "query/generator.h"
-#include "service/batch_driver.h"
 #include "service/plan_cache.h"
+#include "service/serve_pipeline.h"
 #include "util/rng.h"
 #include "util/wall_timer.h"
 
@@ -62,6 +63,41 @@ Workload MakeChain(int n, uint64_t seed) {
   wopts.selectivity_spread = 3.0;
   wopts.table_size_spread = 2.0;
   return GenerateWorkload(wopts, &rng);
+}
+
+struct ServedRun {
+  std::vector<double> objectives;  ///< indexed like the corpus
+  double queries_per_sec = 0;
+};
+
+/// Serves `corpus` through a one-worker pipeline without coalescing, so
+/// every request reaches `cache` (null: every request optimizes).
+ServedRun Serve(const std::vector<serde::ServeRequest>& corpus,
+                PlanCache* cache, const CostModel& model) {
+  ServePipeline::Options popts;
+  popts.workers = 1;
+  popts.coalesce = false;
+  popts.plan_cache = cache;
+  popts.model = &model;
+  ServePipeline pipeline(popts);
+  WallTimer timer;
+  std::vector<ServeTicket> tickets;
+  tickets.reserve(corpus.size());
+  for (const serde::ServeRequest& r : corpus) {
+    tickets.push_back(pipeline.Submit(r));
+  }
+  ServedRun run;
+  for (const ServeTicket& t : tickets) {
+    const ServeOutcome& out = t.Wait();
+    if (out.status != ServeStatus::kOk) {
+      std::printf("!! serve failed: %s\n", out.error.c_str());
+      ++g_failures;
+    }
+    run.objectives.push_back(out.result.objective);
+  }
+  run.queries_per_sec =
+      static_cast<double>(corpus.size()) / timer.Seconds();
+  return run;
 }
 
 /// Mean seconds per call of `fn` over one timed loop of `iters` calls.
@@ -117,37 +153,36 @@ int main() {
               1.0 / ratio, ratio);
   EmitBudget("plan_cache_warm_hit_ratio_n10", ratio);
 
-  // ---- (b) batch driver over a repeated-query corpus, cold vs warm ------
-  std::vector<Workload> corpus;
+  // ---- (b) serving pipeline over a repeated-query corpus, cold vs warm --
+  std::vector<serde::ServeRequest> corpus;
   for (int i = 0; i < 64; ++i) {
-    corpus.push_back(MakeChain(8, 100 + static_cast<uint64_t>(i % 8)));
+    serde::ServeRequest request;
+    request.strategy = "lec_static";
+    request.workload = MakeChain(8, 100 + static_cast<uint64_t>(i % 8));
+    request.memory = memory;
+    corpus.push_back(std::move(request));
   }
-  BatchOptions bopts;
-  bopts.strategy = StrategyId::kLecStatic;
-  bopts.request.model = &model;
-  bopts.request.memory = &memory;
-  bopts.use_ec_cache = false;
 
-  BatchReport cold_batch = RunBatch(corpus, bopts);
-  PlanCache batch_cache;
-  bopts.request.options.plan_cache = &batch_cache;
-  RunBatch(corpus, bopts);  // warm the cache (8 distinct shapes)
-  BatchReport warm_batch = RunBatch(corpus, bopts);
+  ServedRun cold_run = Serve(corpus, nullptr, model);
+  PlanCache shared_cache;
+  Serve(corpus, &shared_cache, model);  // warm the cache (8 distinct shapes)
+  ServedRun warm_run = Serve(corpus, &shared_cache, model);
   for (size_t i = 0; i < corpus.size(); ++i) {
-    if (Bits(cold_batch.objectives[i]) != Bits(warm_batch.objectives[i])) {
-      std::printf("!! batch objective %zu differs warm vs cold\n", i);
+    if (Bits(cold_run.objectives[i]) != Bits(warm_run.objectives[i])) {
+      std::printf("!! served objective %zu differs warm vs cold\n", i);
       ++g_failures;
     }
   }
   bench::Rule();
-  std::printf("batch driver, 64 requests over 8 distinct n=8 chains:\n");
-  std::printf("  cold (no cache)      %10.0f q/s\n", cold_batch.queries_per_sec);
+  std::printf("serving pipeline (1 worker), 64 requests over 8 distinct n=8 "
+              "chains:\n");
+  std::printf("  cold (no cache)      %10.0f q/s\n", cold_run.queries_per_sec);
   std::printf("  warm (shared cache)  %10.0f q/s   (%.1fx)\n",
-              warm_batch.queries_per_sec,
-              warm_batch.queries_per_sec /
-                  (cold_batch.queries_per_sec > 0 ? cold_batch.queries_per_sec
-                                                  : 1.0));
-  PlanCache::Stats bs = batch_cache.stats();
+              warm_run.queries_per_sec,
+              warm_run.queries_per_sec /
+                  (cold_run.queries_per_sec > 0 ? cold_run.queries_per_sec
+                                                : 1.0));
+  PlanCache::Stats bs = shared_cache.stats();
   std::printf("  cache: hits %zu misses %zu (hit rate %.1f%%)\n", bs.hits,
               bs.misses,
               100.0 * static_cast<double>(bs.hits) /
@@ -155,16 +190,15 @@ int main() {
 
   // ---- (c) snapshot restart: save, load into a fresh cache, serve -------
   WallTimer save_timer;
-  std::string snapshot = batch_cache.SaveSnapshot(serde::Encoding::kBinary);
+  std::string snapshot = shared_cache.SaveSnapshot(serde::Encoding::kBinary);
   double save_seconds = save_timer.Seconds();
   PlanCache warmed;
   WallTimer load_timer;
   warmed.LoadSnapshot(snapshot);
   double load_seconds = load_timer.Seconds();
-  bopts.request.options.plan_cache = &warmed;
-  BatchReport restarted = RunBatch(corpus, bopts);
+  ServedRun restarted = Serve(corpus, &warmed, model);
   for (size_t i = 0; i < corpus.size(); ++i) {
-    if (Bits(cold_batch.objectives[i]) != Bits(restarted.objectives[i])) {
+    if (Bits(cold_run.objectives[i]) != Bits(restarted.objectives[i])) {
       std::printf("!! restarted objective %zu differs from cold\n", i);
       ++g_failures;
     }

@@ -6,9 +6,9 @@
 //   1. attach a PlanCache to the optimizer facade and serve a repeated
 //      workload — the first occurrence of each shape optimizes, every
 //      repeat is a cache hit, bit-identical to recomputing;
-//   2. push the same corpus through the multithreaded batch driver with
-//      the cache SHARED across workers (the PlanCache is internally
-//      synchronized — unlike the per-worker EcCache);
+//   2. push the same corpus through the asynchronous serving pipeline
+//      with the cache SHARED across its workers (the PlanCache is
+//      internally synchronized);
 //   3. snapshot the warm cache to disk (service/serde.h wire format,
 //      bit-exact doubles) and warm-load it into a brand-new cache, as a
 //      restarted service would — the "restart" then serves entirely from
@@ -18,20 +18,22 @@
 //               build/example_plan_cache_service
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/generator.h"
-#include "service/batch_driver.h"
 #include "service/plan_cache.h"
+#include "service/serve_pipeline.h"
 #include "util/rng.h"
+#include "util/wall_timer.h"
 
 using namespace lec;
 
 namespace {
 
 /// A small "traffic day": 24 requests drawn from 4 recurring query shapes.
-std::vector<Workload> MakeTraffic() {
-  std::vector<Workload> traffic;
+std::vector<serde::ServeRequest> MakeTraffic(const Distribution& memory) {
+  std::vector<serde::ServeRequest> traffic;
   for (int i = 0; i < 24; ++i) {
     Rng rng(100 + static_cast<uint64_t>(i % 4));  // 4 distinct seeds, cycled
     WorkloadOptions wopts;
@@ -39,9 +41,36 @@ std::vector<Workload> MakeTraffic() {
     wopts.shape = JoinGraphShape::kChain;
     wopts.selectivity_spread = 3.0;   // §3.6: uncertain selectivities
     wopts.table_size_spread = 2.0;    // ... and uncertain table sizes
-    traffic.push_back(GenerateWorkload(wopts, &rng));
+    serde::ServeRequest request;
+    request.strategy = "lec_static";
+    request.workload = GenerateWorkload(wopts, &rng);
+    request.memory = memory;
+    traffic.push_back(std::move(request));
   }
   return traffic;
+}
+
+/// Serves `traffic` through a 4-worker pipeline sharing `cache`, prints the
+/// rate, and returns the objectives summed in request order (a checksum
+/// that does not depend on which worker served what).
+double ServeAll(const std::vector<serde::ServeRequest>& traffic,
+                PlanCache* cache, const CostModel& model, const char* label) {
+  ServePipeline::Options popts;
+  popts.workers = 4;
+  popts.plan_cache = cache;  // shared across workers
+  popts.model = &model;
+  ServePipeline pipeline(popts);
+  WallTimer timer;
+  std::vector<ServeTicket> tickets;
+  for (const serde::ServeRequest& r : traffic) {
+    tickets.push_back(pipeline.Submit(r));
+  }
+  double checksum = 0;
+  for (const ServeTicket& t : tickets) checksum += t.Wait().result.objective;
+  std::printf("%s: %.0f queries/s (objective checksum %.1f)\n", label,
+              static_cast<double>(traffic.size()) / timer.Seconds(),
+              checksum);
+  return checksum;
 }
 
 }  // namespace
@@ -52,15 +81,15 @@ int main() {
   // low- and high-memory states each a quarter likely.
   Distribution memory({{64, 0.25}, {512, 0.5}, {4096, 0.25}});
   Optimizer optimizer;
-  std::vector<Workload> traffic = MakeTraffic();
+  std::vector<serde::ServeRequest> traffic = MakeTraffic(memory);
 
   // -- 1. The serving loop: attach a cache via OptimizerOptions ----------
   PlanCache cache;  // default: 4096 entries, 16 lock shards
   std::printf("serving %zu requests (4 distinct shapes):\n", traffic.size());
   for (size_t i = 0; i < traffic.size(); ++i) {
     OptimizeRequest req;
-    req.query = &traffic[i].query;
-    req.catalog = &traffic[i].catalog;
+    req.query = &traffic[i].workload.query;
+    req.catalog = &traffic[i].workload.catalog;
     req.model = &model;
     req.memory = &memory;
     req.options.plan_cache = &cache;  // <- the only serving-side change
@@ -80,18 +109,10 @@ int main() {
               100.0 * static_cast<double>(s.hits) /
                   static_cast<double>(s.lookups()));
 
-  // -- 2. Same corpus through the batch driver, cache shared -------------
-  BatchOptions bopts;
-  bopts.strategy = StrategyId::kLecStatic;
-  bopts.num_threads = 4;
-  bopts.request.model = &model;
-  bopts.request.memory = &memory;
-  bopts.request.options.plan_cache = &cache;  // shared across workers
-  BatchReport report = RunBatch(traffic, bopts);
-  std::printf("batch driver, %d threads, warm shared cache: %.0f queries/s "
-              "(objective checksum %.1f)\n\n",
-              report.threads_used, report.queries_per_sec,
-              report.objective_sum);
+  // -- 2. Same corpus through the serving pipeline, cache shared --------
+  double checksum = ServeAll(traffic, &cache, model,
+                             "pipeline, 4 workers, warm shared cache");
+  std::printf("\n");
 
   // -- 3. Snapshot, "restart", warm-load, serve --------------------------
   std::string path = "plan_cache_example.snapshot";
@@ -102,15 +123,13 @@ int main() {
   size_t loaded = restarted_cache.LoadSnapshotFile(path);
   std::printf("restarted service warm-loaded %zu entries\n", loaded);
 
-  bopts.request.options.plan_cache = &restarted_cache;
-  BatchReport after_restart = RunBatch(traffic, bopts);
+  double after_restart = ServeAll(traffic, &restarted_cache, model,
+                                  "first run after restart");
   PlanCache::Stats rs = restarted_cache.stats();
-  std::printf("first run after restart: %.0f queries/s, %zu/%zu served from "
-              "cache, objective checksum %s\n",
-              after_restart.queries_per_sec, rs.hits, rs.lookups(),
-              after_restart.objective_sum == report.objective_sum
-                  ? "IDENTICAL to pre-restart"
-                  : "DIFFERS (bug!)");
+  std::printf("  %zu/%zu served from cache, objective checksum %s\n", rs.hits,
+              rs.lookups(),
+              after_restart == checksum ? "IDENTICAL to pre-restart"
+                                        : "DIFFERS (bug!)");
   std::remove(path.c_str());
-  return after_restart.objective_sum == report.objective_sum ? 0 : 1;
+  return after_restart == checksum ? 0 : 1;
 }

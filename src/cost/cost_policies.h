@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cost/cost_model.h"
-#include "cost/ec_cache.h"
 #include "cost/expected_cost.h"
 #include "cost/fast_expected_cost.h"
 #include "dist/distribution.h"
@@ -164,48 +163,6 @@ struct LecDynamicCostProvider {
   double RemStepFloor(JoinMethod m, double outer_min, double b) const {
     return JoinStepFloorAnyMemory(m, outer_min, b,
                                   model.options().sorted_input_discount);
-  }
-};
-
-/// Expected cost under one static memory distribution, optionally memoized
-/// per operator through an EcCache (the Algorithm A/B candidate-scoring
-/// regime behind PlanExpectedCostStaticCached).
-struct LecStaticMemoizedCostProvider {
-  const CostModel& model;
-  const Distribution& memory;
-  EcCache* cache;  // may be null: plain per-operator evaluation
-
-  /// Same objective and bound as LecStaticCostProvider (memoization does
-  /// not change values): exact-admissible, pruning defaults on.
-  static constexpr bool kPruningDefaultOn = true;
-
-  double JoinCost(JoinMethod m, double left_pages, double right_pages,
-                  bool left_sorted, bool right_sorted, int) const {
-    auto compute = [&]() {
-      return ExpectedJoinCostFixedSizes(model, m, left_pages, right_pages,
-                                        memory, left_sorted, right_sorted);
-    };
-    return cache != nullptr
-               ? cache->JoinEcFixedSizes(m, left_sorted, right_sorted,
-                                         left_pages, right_pages, memory,
-                                         compute)
-               : compute();
-  }
-  double SortCost(double pages, int) const {
-    auto compute = [&]() {
-      return ExpectedSortCostFixedSize(model, pages, memory);
-    };
-    return cache != nullptr
-               ? cache->SortEcFixedSize(pages, memory, compute)
-               : compute();
-  }
-  double StepFloor(JoinMethod m, double a, double b) const {
-    return JoinStepFloorAnyMemory(m, a, b,
-                                  model.options().sorted_input_discount);
-  }
-  double RemStepFloor(JoinMethod m, double outer_min, double b) const {
-    return EcJoinCostRemFloorFixedSizeView(model, m, outer_min, b,
-                                           memory.AsView());
   }
 };
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "cost/cost_policies.h"
-#include "cost/ec_cache.h"
 #include "cost/plan_walk.h"
 #include "cost/size_propagation.h"
 #include "dist/simd.h"
@@ -278,17 +277,6 @@ double PlanExpectedCostStatic(const PlanPtr& plan, const Query& query,
     ec += m.prob * RealizedPlanCost(plan, query, model, real);
   }
   return ec;
-}
-
-double PlanExpectedCostStaticCached(const PlanPtr& plan, const Query& query,
-                                    const Catalog& catalog,
-                                    const CostModel& model,
-                                    const Distribution& memory,
-                                    EcCache* cache) {
-  Realization means = Realization::AtMeans(query, catalog, memory.Mean());
-  return WalkPlan(plan, model, means,
-                  LecStaticMemoizedCostProvider{model, memory, cache}, 0)
-      .cost;
 }
 
 double PlanExpectedCostDynamic(const PlanPtr& plan, const Query& query,

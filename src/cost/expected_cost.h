@@ -24,8 +24,6 @@
 
 namespace lec {
 
-class EcCache;
-
 /// A concrete assignment of values to every uncertain parameter — one point
 /// v of the paper's parameter space V. Sampled by the execution simulator.
 struct Realization {
@@ -110,19 +108,6 @@ double PlanCostAtMemory(const PlanPtr& plan, const Query& query,
 double PlanExpectedCostStatic(const PlanPtr& plan, const Query& query,
                               const Catalog& catalog, const CostModel& model,
                               const Distribution& memory);
-
-/// PlanExpectedCostStatic with per-operator memoization: by linearity of
-/// expectation the plan EC equals the sum of per-operator ECs, and each
-/// operator EC is fetched from (or inserted into) `cache`, so candidates
-/// sharing join steps — Algorithm A/B scoring — pay for each step once.
-/// Equal to PlanExpectedCostStatic up to floating-point summation order.
-/// `cache` may be null, in which case the per-operator walk still runs,
-/// just without memoization.
-double PlanExpectedCostStaticCached(const PlanPtr& plan, const Query& query,
-                                    const Catalog& catalog,
-                                    const CostModel& model,
-                                    const Distribution& memory,
-                                    EcCache* cache);
 
 /// EC(p) with memory evolving between phases per the Markov model (§3.5):
 /// phase t is charged under chain.MarginalAfter(initial, t-1). By linearity

@@ -17,7 +17,7 @@
 //     grown block (graceful regrow), and heap_allocations() lets tests pin
 //     the steady-state-zero property.
 //
-// Arenas are single-threaded by design (one per worker, like EcCache).
+// Arenas are single-threaded by design (one per worker thread).
 #ifndef LECOPT_DIST_ARENA_H_
 #define LECOPT_DIST_ARENA_H_
 

@@ -208,8 +208,8 @@ class Distribution {
 
   /// 64-bit content hash over the normalized buckets (bit patterns of value
   /// and probability), computed once at construction. Equal distributions
-  /// hash equally, so (hash, operator==) gives cheap identity for
-  /// memoization keys such as the expected-cost cache in cost/ec_cache.h.
+  /// hash equally, so (hash, operator==) gives cheap identity for cache
+  /// keys such as the plan cache's per-distribution invalidation index.
   uint64_t ContentHash() const { return hash_; }
 
   /// Exact bucket-wise equality (same support, same probabilities).

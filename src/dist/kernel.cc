@@ -1,7 +1,6 @@
 #include "dist/kernel.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -24,10 +23,9 @@ static_assert(offsetof(Bucket, prob) == sizeof(double));
 /// Σ raw[i].prob for i < n, in strict index order. Deliberately NOT
 /// simd::SumStride2: FinishInto's normalization divisor must match the
 /// legacy Distribution constructor bit for bit at every dispatch level
-/// (the kernel/legacy bit-faithfulness contract at the top of kernel.h,
-/// and ViewContentHash == Distribution::ContentHash keying in the EC
-/// cache, both hang off it). The divides that consume the divisor are
-/// elementwise and stay vectorized.
+/// (the kernel/legacy bit-faithfulness contract at the top of kernel.h
+/// hangs off it). The divides that consume the divisor are elementwise and
+/// stay vectorized.
 double BucketProbSum(const Bucket* raw, size_t n) {
   double s = 0;
   for (size_t i = 0; i < n; ++i) s += raw[i].prob;
@@ -55,20 +53,6 @@ DistView UnitPointMassView() {
 double ViewMean(DistView v) { return simd::Dot(v.values, v.probs, v.n); }
 
 double ViewTotalMass(DistView v) { return simd::Sum(v.probs, v.n); }
-
-uint64_t ViewContentHash(DistView v) {
-  // FNV-1a over interleaved (value, prob) bit patterns — must stay in
-  // lockstep with Distribution's constructor hash.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](double d) {
-    h = (h ^ std::bit_cast<uint64_t>(d)) * 1099511628211ull;
-  };
-  for (size_t i = 0; i < v.n; ++i) {
-    mix(v.values[i]);
-    mix(v.probs[i]);
-  }
-  return h;
-}
 
 bool ViewEquals(DistView a, DistView b) {
   if (a.n != b.n) return false;

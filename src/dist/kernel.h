@@ -48,11 +48,6 @@ double ViewMean(DistView v);
 /// Σ p_i (≈1 for normalized views; exposed for conservation checks).
 double ViewTotalMass(DistView v);
 
-/// FNV-1a over the interleaved (value, prob) bit patterns — bit-compatible
-/// with Distribution::ContentHash on equal content, so EC-cache keys work
-/// across both representations.
-uint64_t ViewContentHash(DistView v);
-
 /// Exact bucket-wise equality.
 bool ViewEquals(DistView a, DistView b);
 

@@ -8,9 +8,9 @@
 // runs the widest ISA the host offers while the scalar twin stays
 // available as the bit-parity reference.
 //
-// Dispatch model: the active level is a THREAD-LOCAL (the batch driver
-// runs optimizations on worker threads; a scoped override must never leak
-// across workers), initialized from DefaultLevel() = the highest CPU-
+// Dispatch model: the active level is a THREAD-LOCAL (the serving
+// pipeline runs optimizations on worker threads; a scoped override must
+// never leak across workers), initialized from DefaultLevel() = the highest CPU-
 // supported level clamped by the LECOPT_SIMD environment variable
 // ("scalar", "sse2", "avx2"). OptimizerOptions::simd_mode lets a request
 // pin a level through the facade; ScopedLevel is the RAII primitive

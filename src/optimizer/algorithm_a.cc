@@ -50,7 +50,7 @@ OptimizeResult OptimizeAlgorithmA(const Query& query, const Catalog& catalog,
   double best = std::numeric_limits<double>::infinity();
   for (const PlanPtr& c : candidates) {
     double ec = ScoreCandidateStatic(c, query, catalog, model, memory,
-                                     options, &result.cost_evaluations);
+                                     &result.cost_evaluations);
     if (ec < best) {
       best = ec;
       result.plan = c;

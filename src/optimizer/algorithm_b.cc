@@ -198,7 +198,7 @@ OptimizeResult OptimizeAlgorithmB(const Query& query, const Catalog& catalog,
   double best = std::numeric_limits<double>::infinity();
   for (const PlanPtr& cand : candidates) {
     double ec = ScoreCandidateStatic(cand, query, catalog, model, memory,
-                                     options, &result.cost_evaluations);
+                                     &result.cost_evaluations);
     if (ec < best) {
       best = ec;
       result.plan = cand;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cost/ec_cache.h"
 #include "cost/expected_cost.h"
 #include "cost/fast_expected_cost.h"
 #include "cost/size_propagation.h"
@@ -114,7 +113,6 @@ struct AlgorithmDSteps::SizeRecord {
   uint64_t key = 0;  ///< the subset
   DistView view;
   double mean = 0;
-  uint64_t hash = 0;  ///< content hash; 0 unless an EcCache is attached
 };
 
 namespace internal {
@@ -129,15 +127,9 @@ struct AlgorithmDTables {
   /// Per relation: its own size distribution staged as the right operand.
   std::vector<DistView> right_operand;
   std::vector<int> preds;
-  bool hash = false;  ///< records carry content hashes (an EcCache reads them)
 
   const AlgorithmDSteps::SizeRecord& Insert(TableSet s, DistView view) {
-    AlgorithmDSteps::SizeRecord r;
-    r.key = s;
-    r.view = view;
-    r.mean = ViewMean(view);
-    if (hash) r.hash = ViewContentHash(view);
-    return sizes.Insert(r);
+    return sizes.Insert({s, view, ViewMean(view)});
   }
 
   size_t Release() {
@@ -200,12 +192,10 @@ AlgorithmDSteps::AlgorithmDSteps(const DpContext& ctx, const CostModel& model,
                                  const Distribution& memory)
     : ctx_(&ctx),
       model_(&model),
-      cache_(ctx.options().ec_cache),
       arena_(ctx.options().dist_arena != nullptr ? ctx.options().dist_arena
                                                  : &ThreadLocalDArena()),
       tables_(&ThreadLocalTables()),
-      mem_(memory.AsView()),
-      mem_hash_(cache_ != nullptr ? memory.ContentHash() : 0) {
+      mem_(memory.AsView()) {
   const Query& query = ctx.query();
   const OptimizerOptions& opts = ctx.options();
   int n = ctx.num_tables();
@@ -214,7 +204,6 @@ AlgorithmDSteps::AlgorithmDSteps(const DpContext& ctx, const CostModel& model,
   internal::AlgorithmDTables& t = *tables_;
   t.sizes.Clear();
   t.selectivities.Clear();
-  t.hash = cache_ != nullptr;
   t.right_operand.assign(static_cast<size_t>(n), DistView{});
   // Base sizes, rebucketed to the budget: the catalog's distribution in
   // place (it outlives the run), or a point mass written into the arena.
@@ -258,10 +247,7 @@ double AlgorithmDSteps::RootSort(TableSet s, double, int, size_t*) const {
 }
 
 double AlgorithmDSteps::SortEc(const SizeRecord& r) const {
-  auto compute = [&]() { return ExpectedSortCostView(*model_, r.view, mem_); };
-  return cache_ != nullptr
-             ? cache_->SortEcView(r.view, r.hash, mem_, mem_hash_, compute)
-             : compute();
+  return ExpectedSortCostView(*model_, r.view, mem_);
 }
 
 double* AlgorithmDSteps::SortMergeTerms(size_t n) const {
@@ -280,35 +266,21 @@ double AlgorithmDSteps::StepContext::Join(JoinMethod method, bool left_sorted,
   DistView b = right_->view;
   bool fast = d.ctx_->options().use_fast_ec &&
               FastPathValid(*d.model_, method, left_sorted, inner_sorted);
-  size_t weight = fast ? a.n + b.n + d.mem_.n : a.n * b.n * d.mem_.n;
-  auto naive = [&]() {
-    return ExpectedJoinCostView(*d.model_, method, a, b, d.mem_, left_sorted,
-                                inner_sorted);
-  };
-  if (d.cache_ == nullptr) {
-    // Every use is charged, memoized or not. The fast path's values do not
-    // depend on the sorted flags, so one fused sweep serves the pair.
-    *evaluations += weight;
-    if (!fast) return memo_.Join(method, left_sorted, inner_sorted, naive);
-    if (!have_fast_) {
-      fast_ = FastEcAllMethods(a, b, d.profile_, left_->mean, right_->mean,
-                               d.SortMergeTerms(a.n));
-      have_fast_ = true;
-    }
-    return fast_.Of(method);
+  // Every use is charged, memoized or not. The fast path's values do not
+  // depend on the sorted flags, so one fused sweep serves the pair.
+  *evaluations += fast ? a.n + b.n + d.mem_.n : a.n * b.n * d.mem_.n;
+  if (!fast) {
+    return memo_.Join(method, left_sorted, inner_sorted, [&]() {
+      return ExpectedJoinCostView(*d.model_, method, a, b, d.mem_,
+                                  left_sorted, inner_sorted);
+    });
   }
-  // Each distinct triple meets the cache once per pair, in first-use
-  // order; only a miss runs (and is charged) the formula.
-  return memo_.Join(method, left_sorted, inner_sorted, [&]() {
-    return d.cache_->JoinEcView(
-        method, left_sorted, inner_sorted, a, left_->hash, b, right_->hash,
-        d.mem_, d.mem_hash_, [&]() -> double {
-          *evaluations += weight;
-          return fast ? FastEcJoin(method, a, b, d.profile_, left_->mean,
-                                   right_->mean)
-                      : naive();
-        });
-  });
+  if (!have_fast_) {
+    fast_ = FastEcAllMethods(a, b, d.profile_, left_->mean, right_->mean,
+                             d.SortMergeTerms(a.n));
+    have_fast_ = true;
+  }
+  return fast_.Of(method);
 }
 
 double AlgorithmDSteps::StepContext::Enforcer(size_t*) {

@@ -37,12 +37,10 @@ struct AlgorithmDTables;
 ///     result-size distribution (base sizes rebucketed to size_buckets).
 ///     A subset's distribution is derived when its slot closes live.
 ///   * A step's cost is its expected cost over the memory distribution and
-///     the two inputs' size distributions. Without an EcCache every use is
-///     charged its formula's weight — b_A + b_B + b_M on the fast path,
-///     b_A · b_B · b_M on the naive one — and the fast path's three methods
-///     come from one fused sweep per (S_j, j) (FastEcAllMethods). With an
-///     EcCache each distinct (method, left_sorted, inner_sorted) meets the
-///     cache once per pair and only a miss is charged.
+///     the two inputs' size distributions. Every use is charged its
+///     formula's weight — b_A + b_B + b_M on the fast path, b_A · b_B · b_M
+///     on the naive one — memoized or not, and the fast path's three
+///     methods come from one fused sweep per (S_j, j) (FastEcAllMethods).
 ///   * Enforcer and root sorts are expected sort costs, charged nothing.
 ///
 /// Construction starts a run: it resets the scratch arena
@@ -91,11 +89,9 @@ class AlgorithmDSteps {
 
   const DpContext* ctx_;
   const CostModel* model_;
-  EcCache* cache_;
   DistArena* arena_;
   internal::AlgorithmDTables* tables_;
   DistView mem_;
-  uint64_t mem_hash_ = 0;
   EcMemoryProfile profile_;
   mutable double* sm_terms_ = nullptr;
   mutable size_t sm_terms_room_ = 0;

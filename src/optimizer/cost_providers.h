@@ -17,27 +17,15 @@
 
 namespace lec {
 
-/// Scores a complete candidate plan under the static-memory EC objective,
-/// honoring options.ec_cache and ticking *cost_evaluations only for
-/// formulas that actually ran (a cache hit is free; each miss is one
-/// operator EC, i.e. one pass over the memory buckets). The shared
+/// Scores a complete candidate plan under the static-memory EC objective:
+/// one plan walk per memory bucket (the O((n-1)·b²) post-pass of §3.2),
+/// each walk ticking *cost_evaluations once per operator. The shared
 /// candidate-selection post-pass of Algorithms A and B.
 inline double ScoreCandidateStatic(const PlanPtr& plan, const Query& query,
                                    const Catalog& catalog,
                                    const CostModel& model,
                                    const Distribution& memory,
-                                   const OptimizerOptions& options,
                                    size_t* cost_evaluations) {
-  if (options.ec_cache != nullptr) {
-    size_t misses_before = options.ec_cache->stats().misses;
-    double ec = PlanExpectedCostStaticCached(plan, query, catalog, model,
-                                             memory, options.ec_cache);
-    *cost_evaluations +=
-        (options.ec_cache->stats().misses - misses_before) * memory.size();
-    return ec;
-  }
-  // Uncached: one plan walk per memory bucket (the O((n-1)·b²) post-pass
-  // of §3.2).
   *cost_evaluations += memory.size() * (CountJoins(plan) + 1);
   return PlanExpectedCostStatic(plan, query, catalog, model, memory);
 }

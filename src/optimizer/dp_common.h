@@ -36,7 +36,6 @@
 
 namespace lec {
 
-class EcCache;
 class PlanCache;
 namespace rewrite {
 struct RewriteOutcome;
@@ -94,21 +93,14 @@ struct OptimizerOptions {
   /// per-thread arena; tests inject their own to pin the
   /// steady-state-zero-allocation property.
   DistArena* dist_arena = nullptr;
-  /// Optional expected-cost memo cache (borrowed, not owned; see
-  /// cost/ec_cache.h for the identity and thread-safety contract). Used by
-  /// Algorithm D's inner loop — where cached and uncached runs return
-  /// bit-identical objectives (the same computation is memoized) — and by
-  /// Algorithm A/B candidate scoring, where enabling the cache switches to
-  /// the per-operator summation of PlanExpectedCostStaticCached: equal to
-  /// the uncached walk up to floating-point association order, not bit
-  /// pattern. Either way only real formula runs tick cost_evaluations.
-  EcCache* ec_cache = nullptr;
+  /// Unread; kept only because the lecbench harness still assigns nullptr.
+  std::nullptr_t ec_cache = nullptr;
   /// Optional whole-result plan cache (borrowed, not owned; see
   /// service/plan_cache.h). Consulted only by the lec::Optimizer facade —
   /// the strategy entry points below it never look: the cache key is the
-  /// full request identity, which only the facade sees. Unlike ec_cache,
-  /// a PlanCache is internally synchronized and MEANT to be shared across
-  /// the batch driver's workers. A hit returns a result bit-identical to
+  /// full request identity, which only the facade sees. A PlanCache is
+  /// internally synchronized and MEANT to be shared across the serving
+  /// pipeline's workers. A hit returns a result bit-identical to
   /// recomputing (except elapsed_seconds, which reports the serving call).
   PlanCache* plan_cache = nullptr;
   /// SIMD dispatch tier for this optimization. Applied by the

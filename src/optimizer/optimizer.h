@@ -6,7 +6,7 @@
 // parametric, randomized, sampling), each historically a free-function
 // entry point with its own parameter list. The Optimizer facade routes all
 // of them through a single OptimizeRequest -> OptimizeResult API keyed by
-// StrategyId, so callers (the service batch driver, benches, examples,
+// StrategyId, so callers (the serving pipeline, benches, examples,
 // future backends) select a strategy by value instead of by linking against
 // a specific header. Every result is stamped with wall-time and the
 // uniform candidate/evaluation counters. See DESIGN.md, "Strategy

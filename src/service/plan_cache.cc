@@ -45,13 +45,8 @@ void WriteRequestHead(serde::Writer& w, StrategyId id,
   w.Str(simd::LevelName(simd::ActiveLevel()));
 
   // Option fingerprint: the serde subset of OptimizerOptions (everything
-  // result-affecting except the borrowed pointers). The EC cache pointer
-  // is fingerprinted below for Algorithm A/B only — the one place its
-  // presence changes bits (cached scoring reassociates floating-point
-  // sums); everywhere else memoization is bit-transparent, and splitting
-  // on it would halve the hit rate under the batch driver, which always
-  // attaches per-worker EC caches. The dist arena and this cache itself
-  // are pure mechanism and excluded.
+  // result-affecting except the borrowed pointers). The dist arena and
+  // this cache itself are pure mechanism and excluded.
   serde::Write(w, r.options);
 
   // Cost-model fingerprint: both knobs change every join cost.
@@ -68,17 +63,19 @@ void WriteRequestTail(serde::Writer& w, StrategyId id,
   serde::Write(w, *r.memory);
 
   // Strategy-specific knobs: only what the strategy actually consumes, so
-  // e.g. a changed randomized seed does not evict lec_static entries.
+  // e.g. a changed randomized seed does not evict lec_static entries. The
+  // A/B slot of the retired per-worker memo cache is always written false;
+  // keeping it keeps signature and snapshot bytes unchanged.
   w.Tag("knobs");
   switch (id) {
     case StrategyId::kLsc:
       w.U32(static_cast<uint32_t>(r.lsc_estimate));
       break;
     case StrategyId::kAlgorithmA:
-      w.Bool(r.options.ec_cache != nullptr);
+      w.Bool(false);
       break;
     case StrategyId::kAlgorithmB:
-      w.Bool(r.options.ec_cache != nullptr);
+      w.Bool(false);
       w.U64(r.top_c);
       break;
     case StrategyId::kLecDynamic:

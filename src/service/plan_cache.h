@@ -64,8 +64,8 @@
 //
 // Concurrency: lookups and inserts take one shard mutex each (the shard is
 // chosen by signature hash), so the cache is safe to share across the
-// batch driver's workers — unlike the EcCache, which is per-worker by
-// contract. Eviction is per-shard LRU under a global entry cap. The alias
+// serving pipeline's workers. Eviction is per-shard LRU under a global
+// entry cap. The alias
 // index is sharded by raw-key hash under its own leaf mutexes: a path that
 // holds a shard mutex may take one alias-index mutex, never the reverse
 // (LookupRequest releases the index mutex before it takes the entry's

@@ -202,12 +202,10 @@ OptimizeRequest ServePipeline::WorkerRequest(
   req.model = model_;
   req.memory = &request.memory;
   req.options = request.options;
-  // Result-affecting per-process pointers are the pipeline's to inject:
-  // the shared plan cache is internally synchronized; the EC cache must
-  // stay detached (a shared one races, a per-worker one would make A/B
-  // objectives depend on serving history — breaking I10 bit-parity).
+  // Per-process pointers are the pipeline's to inject: the shared plan
+  // cache is internally synchronized, and each worker runs on its own
+  // per-thread scratch arena.
   req.options.plan_cache = options_.plan_cache;
-  req.options.ec_cache = nullptr;
   req.options.dist_arena = nullptr;
   req.lsc_estimate = request.lsc_estimate;
   req.top_c = request.top_c;

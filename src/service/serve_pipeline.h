@@ -1,18 +1,17 @@
 // Asynchronous serving pipeline — admission, coalescing, backpressure,
 // deadline-aware degradation.
 //
-// The BatchDriver (service/batch_driver.h) is fork/join over a closed
-// corpus and the lec_serve REPL is single-threaded; neither is a serving
-// story for open traffic. This pipeline is: callers Submit() requests from
-// any number of protocol threads, a bounded admission queue feeds a fixed
-// pool of compute workers, and every request resolves to a ServeTicket the
-// caller waits on. The thread split is deliberate (protocol threads never
+// The one serving path for concurrent traffic (service/wire_server.h
+// submits here): callers Submit() requests from any number of protocol
+// threads, a bounded admission queue feeds a fixed pool of compute
+// workers, and every request resolves to a ServeTicket the caller waits
+// on. The thread split is deliberate (protocol threads never
 // compute, compute workers never block on I/O — the executor/transaction
 // separation a conventional DBMS front end uses): Submit() does only
 // request keying and queue bookkeeping; all optimization runs on the
 // worker pool.
 //
-// Three serving behaviors the batch driver cannot express:
+// Three serving behaviors:
 //
 //   * In-flight coalescing (singleflight). Submissions are keyed by their
 //     RequestKey (service/plan_cache.h): the bytes of every input the
@@ -68,8 +67,8 @@
 // when degraded. Only elapsed_seconds and the outcome's degraded/coalesced
 // markers may differ. This holds because every strategy is deterministic
 // in the request (randomized search is seeded) and workers share no
-// result-affecting mutable state (the EC cache is never attached by the
-// pipeline; the plan cache's hits are bit-identical by its own contract).
+// result-affecting mutable state (the plan cache's hits are bit-identical
+// by its own contract).
 //
 // Time is injectable (Options::clock) so deadline behavior is testable
 // without wall-clock flakiness; the default clock is steady_clock.
@@ -251,7 +250,7 @@ class ServePipeline {
   void WorkerLoop();
   void RunJob(Job& job);
   /// The OptimizeRequest a worker runs for `request`: its payload, this
-  /// pipeline's model and plan cache, and no EC cache or arena. Submit
+  /// pipeline's model and plan cache, and no arena. Submit
   /// keys this same request, so the key it builds is the worker's.
   OptimizeRequest WorkerRequest(const serde::ServeRequest& request) const;
   static void Resolve(const std::shared_ptr<ServeTicket::State>& state,

@@ -1,7 +1,7 @@
 // Socket front end for the serving pipeline — length-prefixed wire framing.
 //
 // Everything before this layer serves requests that originate inside the
-// process (the REPL's stdin stream, the batch driver's corpus). The wire
+// process (the REPL's stdin stream, in-process pipeline callers). The wire
 // server puts the pipeline behind a TCP socket so load can be generated
 // from OUTSIDE the process (tools/lec_loadgen, or anything that speaks the
 // framing below), with the thread split the pipeline was built for:

@@ -21,7 +21,6 @@
 #include "optimizer/exhaustive.h"
 #include "optimizer/system_r.h"
 #include "rewrite/rewrite.h"
-#include "service/batch_driver.h"
 #include "service/plan_cache.h"
 #include "service/serde.h"
 #include "service/serve_pipeline.h"
@@ -194,7 +193,7 @@ class CaseChecker {
     CheckDegeneration();         // I2
     CheckMixtureLinearity();     // I3
     CheckRebucketing();          // I4
-    CheckServiceInvariance();    // I5
+    CheckFacadeParity();         // I5
     CheckKernelParity();         // I7 (cheap; runs before the MC resamples)
     CheckDpPruning();            // I9
     CheckSerdeCacheParity();     // I8
@@ -459,71 +458,10 @@ class CaseChecker {
                                    root.Min(), want_min));
   }
 
-  void CheckServiceInvariance() {
+  void CheckFacadeParity() {
     if (Stop()) return;
-    // A two-query corpus (this case and its successor world) pushed
-    // through the batch driver.
-    FuzzCase sibling = case_;
-    sibling.seed = case_.seed + 1;
-    std::vector<Workload> corpus;
-    corpus.push_back(ctx_.workload);
-    corpus.push_back(BuildContext(sibling).workload);
-
-    BatchOptions bopts;
-    bopts.strategy = StrategyId::kLecStatic;
-    bopts.record_plans = true;
-    bopts.request.model = &ctx_.model;
-    bopts.request.memory = &ctx_.memory;
-    bopts.num_threads = 1;
-    BatchReport one = RunBatch(corpus, bopts);
-    bopts.num_threads = 2;
-    BatchReport two = RunBatch(corpus, bopts);
-    bool objectives_equal = one.objectives == two.objectives;
-    bool plans_equal = one.plans.size() == two.plans.size();
-    for (size_t i = 0; plans_equal && i < one.plans.size(); ++i) {
-      plans_equal = PlanEquals(one.plans[i], two.plans[i]);
-    }
-    Expect(objectives_equal && plans_equal, "I5:thread_invariance",
-           "batch objectives/plans differ between 1 and 2 threads");
-    if (Stop()) return;
-
-    // EC cache: bit-identical for Algorithm D (pure memoization), within
-    // the documented reassociation tolerance for Algorithm A (cached
-    // scoring sums per-operator ECs).
-    bopts.strategy = StrategyId::kAlgorithmD;
-    bopts.num_threads = 1;
-    bopts.use_ec_cache = false;
-    BatchReport d_plain = RunBatch(corpus, bopts);
-    bopts.use_ec_cache = true;
-    BatchReport d_cached = RunBatch(corpus, bopts);
-    size_t d_bad = 0;  // first index that diverged, for the report
-    while (d_bad < d_plain.objectives.size() &&
-           d_plain.objectives[d_bad] == d_cached.objectives[d_bad]) {
-      ++d_bad;
-    }
-    Expect(d_bad == d_plain.objectives.size(), "I5:d_cache_bit_identical",
-           d_bad < d_plain.objectives.size()
-               ? FormatMismatch("algorithm_d cached vs uncached objective",
-                                d_cached.objectives[d_bad],
-                                d_plain.objectives[d_bad])
-               : std::string());
-    if (Stop()) return;
-    bopts.strategy = StrategyId::kAlgorithmA;
-    bopts.use_ec_cache = false;
-    BatchReport a_plain = RunBatch(corpus, bopts);
-    bopts.use_ec_cache = true;
-    BatchReport a_cached = RunBatch(corpus, bopts);
-    bool a_ok = a_plain.objectives.size() == a_cached.objectives.size();
-    for (size_t i = 0; a_ok && i < a_plain.objectives.size(); ++i) {
-      a_ok = ApproxEqual(a_plain.objectives[i], a_cached.objectives[i],
-                         kSummationReassociationRelTol);
-    }
-    Expect(a_ok, "I5:a_cache_tolerance",
-           "algorithm_a cached scoring drifted beyond the documented "
-           "reassociation tolerance");
-    if (Stop()) return;
-
-    // Facade dispatch equals the direct entry point, bit for bit.
+    // Facade dispatch equals the direct entry point, bit for bit. Thread
+    // and worker-count invariance of served results is I10's.
     Optimizer facade;
     OptimizeRequest req;
     req.query = &ctx_.workload.query;

@@ -21,10 +21,9 @@
 //      plan conserves probability mass and the mean (product of means
 //      under independence), and its support stays inside the exact
 //      min/max envelope.
-//   I5 service invariance — batch runs are thread-count invariant (bit:
-//      objectives and plans), EC-cache invariant (bit for Algorithm D,
-//      documented reassociation tolerance for A/B), and facade dispatch
-//      matches the direct entry point.
+//   I5 facade parity      — facade dispatch matches the direct entry
+//      point, bit for bit (objective and plan). Worker-count invariance of
+//      served results is I10's.
 //   I7 kernel parity      — the §3.6 linear-time EC sweeps (the
 //      threshold-swept fast-EC kernels of dist/kernel.h) agree with the
 //      paper's EC definition, the naive triple enumeration

@@ -2,10 +2,11 @@
 //
 // Two computations of the same objective may legitimately differ in the
 // low-order bits when one of them reassociates a floating-point sum: the
-// Algorithm A/B cached scoring walk sums per-operator expected costs
-// (linearity of expectation) where the uncached walk sums per-memory-bucket
-// plan costs — equal in exact arithmetic, not bit-identical in binary64
-// (see DESIGN.md, "Verification"). Exact-equality assertions on such pairs
+// oracle re-scores a candidate plan by summing per-operator expected costs
+// (linearity of expectation) where Algorithm A/B's scoring walk sums
+// per-memory-bucket plan costs — equal in exact arithmetic, not
+// bit-identical in binary64 (see DESIGN.md, "Verification"). Exact-equality
+// assertions on such pairs
 // are latent flakes: they hold until a compiler, optimization level, or
 // evaluation order changes. This header pins the comparison policy once so
 // every consumer (tests, the fuzz invariants, the oracle regret checks)
@@ -27,8 +28,9 @@ namespace lec::verify {
 /// 2^12 · 2^-52 ≈ 9.1e-13 bounds the drift; 1e-9 adds three orders of
 /// headroom for the intermediate products inside the cost formulas. This is
 /// the documented tolerance for "same objective computed along a different
-/// summation order" — in particular the A/B cached-vs-uncached scoring
-/// parity.
+/// summation order" — in particular a candidate strategy's stated objective
+/// against the oracle's re-scoring of its plan (fuzz I1), and EC mixture
+/// linearity (I3).
 inline constexpr double kSummationReassociationRelTol = 1e-9;
 
 /// Tolerance for "strategy objective equals the exhaustive oracle's

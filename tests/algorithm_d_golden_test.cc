@@ -3,15 +3,11 @@
 // D's objective, plan and work counters are pinned bit for bit on the
 // request classes that dominate its cost: the n = 10 chain, star, cycle
 // and random queries of the plan_cold benchmark (after the standard
-// rewrite pipeline), a 16-table cycle and a 20-table chain. Each case runs
-// once without and once with an EcCache, since cost_evaluations charges
-// different work in the two modes; the cached run also records the
-// cache's miss count and entry count, which fix the sequence of distinct
-// (operands, method, sorted flags) keys D looks up. One case turns on the
-// sorted-input discount with sort enforcers (the left/right-sorted keys
-// and the enforcer path), one runs the naive enumerator
-// (use_fast_ec = false). The SIMD tier is pinned to scalar so the recorded
-// bits do not depend on the host's vector unit.
+// rewrite pipeline), a 16-table cycle and a 20-table chain. One case turns
+// on the sorted-input discount with sort enforcers (the left/right-sorted
+// keys and the enforcer path), one runs the naive enumerator
+// (use_fast_ec = false). The SIMD tier is pinned to scalar so the
+// recorded bits do not depend on the host's vector unit.
 //
 // Regenerating after an intentional change to D's enumeration, size
 // propagation or arithmetic:
@@ -30,7 +26,6 @@
 #include <sstream>
 #include <string>
 
-#include "cost/ec_cache.h"
 #include "dist/simd.h"
 #include "optimizer/algorithm_d.h"
 #include "plan/printer.h"
@@ -100,24 +95,19 @@ Workload MakeCase(const GoldenCase& c, size_t size_buckets) {
                   .query = std::move(out.query)};
 }
 
-std::string Render(const GoldenCase& c, const char* mode,
-                   const OptimizeResult& r, const Workload& w,
-                   const EcCache* cache) {
+std::string Render(const GoldenCase& c, const OptimizeResult& r,
+                   const Workload& w) {
   std::ostringstream os;
   char bits[32];
   std::snprintf(bits, sizeof(bits), "%016" PRIx64,
                 std::bit_cast<uint64_t>(r.objective));
-  os << "case " << c.name << " " << mode << "\n";
+  os << "case " << c.name << " uncached\n";
   os << "objective_bits " << bits << "\n";
   os << "candidates_considered " << r.candidates_considered << "\n";
   os << "cost_evaluations " << r.cost_evaluations << "\n";
   os << "candidates_by_phase";
   for (size_t k : r.candidates_by_phase) os << " " << k;
   os << "\n";
-  if (cache != nullptr) {
-    os << "ec_cache_misses " << cache->stats().misses << "\n";
-    os << "ec_cache_entries " << cache->size() << "\n";
-  }
   os << "plan " << PlanToString(r.plan, w.query, w.catalog) << "\n";
   os << PlanToTreeString(r.plan, w.query, w.catalog);
   os << "end\n\n";
@@ -139,15 +129,7 @@ TEST(AlgorithmDGoldenTest, CountersObjectivesAndPlansMatchGolden) {
     Workload w = MakeCase(c, opts.size_buckets);
 
     rendered += Render(
-        c, "uncached",
-        OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts), w,
-        nullptr);
-    EcCache cache;
-    opts.ec_cache = &cache;
-    rendered += Render(
-        c, "ec_cache",
-        OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts), w,
-        &cache);
+        c, OptimizeAlgorithmD(w.query, w.catalog, model, memory, opts), w);
   }
 
   std::string path = GoldenPath();

@@ -21,6 +21,17 @@ TEST(DistributionTest, PointMassBasics) {
   EXPECT_DOUBLE_EQ(d.Max(), 42.0);
 }
 
+TEST(DistributionContentHashTest, EqualContentHashesEqual) {
+  Distribution a({{10, 0.5}, {20, 0.5}});
+  Distribution b({{20, 0.5}, {10, 0.5}});  // same after normalization
+  Distribution c({{10, 0.4}, {20, 0.6}});
+  EXPECT_EQ(a.ContentHash(), b.ContentHash());
+  EXPECT_NE(a.ContentHash(), c.ContentHash());
+  // Copies share the content identity.
+  Distribution d = a;
+  EXPECT_EQ(d.ContentHash(), a.ContentHash());
+}
+
 TEST(DistributionTest, NormalizesProbabilities) {
   Distribution d({{1.0, 2.0}, {3.0, 6.0}});
   EXPECT_DOUBLE_EQ(d.PrLeq(1.0), 0.25);

@@ -1,8 +1,8 @@
 // The PlanCache contract: a hit is bit-identical to recompute (except
 // elapsed_seconds), signatures discriminate exactly the inputs results
 // depend on, eviction respects the cap, snapshots round-trip, and the
-// cache is shareable across the batch driver's workers without changing
-// objectives or plans. The request memo (aliases) serves a repeat raw
+// cache is shareable across the serving pipeline's workers without
+// changing objectives or plans. The request memo (aliases) serves a repeat raw
 // request bit-identically, leaves hit/miss accounting unchanged, and
 // drops its aliases with their entry on every path.
 #include "service/plan_cache.h"
@@ -15,10 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "cost/ec_cache.h"
 #include "query/generator.h"
 #include "rewrite/rewrite.h"
-#include "service/batch_driver.h"
+#include "service/serve_pipeline.h"
 #include "util/rng.h"
 
 namespace lec {
@@ -195,22 +194,6 @@ TEST_F(PlanCacheTest, SignatureDiscriminatesResultAffectingInputs) {
   opt_req.options.use_fast_ec = !req.options.use_fast_ec;
   EXPECT_NE(QuerySignature::Compute(StrategyId::kLecStatic, opt_req).canonical,
             base.canonical);
-
-  // EC cache *presence* splits Algorithm A/B (their cached scoring
-  // reassociates sums) but NOT the bit-transparent strategies — the batch
-  // driver always attaches per-worker EC caches, and splitting on them
-  // everywhere would halve the hit rate for no correctness gain.
-  EcCache ec;
-  OptimizeRequest ec_req = req;
-  ec_req.options.ec_cache = &ec;
-  EXPECT_EQ(QuerySignature::Compute(StrategyId::kLecStatic, ec_req).canonical,
-            base.canonical);
-  EXPECT_EQ(QuerySignature::Compute(StrategyId::kAlgorithmD, ec_req).canonical,
-            QuerySignature::Compute(StrategyId::kAlgorithmD, req).canonical);
-  EXPECT_NE(QuerySignature::Compute(StrategyId::kAlgorithmA, ec_req).canonical,
-            QuerySignature::Compute(StrategyId::kAlgorithmA, req).canonical);
-  EXPECT_NE(QuerySignature::Compute(StrategyId::kAlgorithmB, ec_req).canonical,
-            QuerySignature::Compute(StrategyId::kAlgorithmB, req).canonical);
 
   // Cost-model knobs.
   CostModelOptions discount;
@@ -435,36 +418,45 @@ TEST_F(PlanCacheTest, MissingSnapshotFileThrows) {
 }
 
 TEST_F(PlanCacheTest, SharedAcrossBatchWorkersKeepsThreadInvariance) {
-  std::vector<Workload> corpus;
+  std::vector<serde::ServeRequest> corpus;
   for (uint64_t seed = 0; seed < 6; ++seed) {
     // Duplicates on purpose: repeated queries are the cache's whole point.
-    corpus.push_back(MakeWorkload(500 + seed % 3));
+    serde::ServeRequest request;
+    request.workload = MakeWorkload(500 + seed % 3);
+    request.memory = memory_;
+    corpus.push_back(std::move(request));
+  }
+  std::vector<OptimizeResult> plain;
+  for (const serde::ServeRequest& r : corpus) {
+    plain.push_back(optimizer_.Optimize(
+        StrategyId::kLecStatic, RequestFor(r.workload, nullptr)));
   }
 
-  BatchOptions bopts;
-  bopts.strategy = StrategyId::kLecStatic;
-  bopts.record_plans = true;
-  bopts.request.model = &model_;
-  bopts.request.memory = &memory_;
-
-  bopts.num_threads = 1;
-  BatchReport plain = RunBatch(corpus, bopts);
-
+  // One cache shared by a 1-worker and then a 4-worker pipeline. Without
+  // coalescing every duplicate reaches the cache.
   PlanCache cache;
-  bopts.request.options.plan_cache = &cache;
-  BatchReport cached_one = RunBatch(corpus, bopts);
-  bopts.num_threads = 4;
-  BatchReport cached_four = RunBatch(corpus, bopts);
-
-  EXPECT_EQ(plain.objectives, cached_one.objectives);
-  EXPECT_EQ(plain.objectives, cached_four.objectives);
-  for (size_t i = 0; i < plain.plans.size(); ++i) {
-    EXPECT_TRUE(PlanEquals(plain.plans[i], cached_one.plans[i])) << i;
-    EXPECT_TRUE(PlanEquals(plain.plans[i], cached_four.plans[i])) << i;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    ServePipeline::Options popts;
+    popts.workers = workers;
+    popts.coalesce = false;
+    popts.plan_cache = &cache;
+    popts.model = &model_;
+    ServePipeline pipeline(popts);
+    std::vector<ServeTicket> tickets;
+    for (const serde::ServeRequest& r : corpus) {
+      tickets.push_back(pipeline.Submit(r));
+    }
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const ServeOutcome& out = tickets[i].Wait();
+      ASSERT_EQ(out.status, ServeStatus::kOk) << out.error;
+      EXPECT_EQ(Bits(out.result.objective), Bits(plain[i].objective)) << i;
+      EXPECT_TRUE(PlanEquals(out.result.plan, plain[i].plan)) << i;
+    }
   }
-  // 3 distinct workloads were optimized at most a handful of times across
-  // both cached runs; the rest were hits.
-  EXPECT_GE(cache.stats().hits, 6u);
+  // 3 distinct workloads were optimized once each; the sequential
+  // 1-worker run hit on its 3 repeats and the 4-worker run on all 6.
+  EXPECT_EQ(cache.stats().hits, 9u);
   EXPECT_EQ(cache.size(), 3u);
 }
 

@@ -59,7 +59,6 @@ OptimizeResult Reference(const serde::ServeRequest& r, StrategyId id,
   req.memory = &r.memory;
   req.options = r.options;
   req.options.plan_cache = nullptr;
-  req.options.ec_cache = nullptr;
   req.options.dist_arena = nullptr;
   req.lsc_estimate = r.lsc_estimate;
   req.top_c = r.top_c;

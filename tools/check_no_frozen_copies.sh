@@ -4,10 +4,11 @@
 # definitions (the naive EC enumerator in cost/expected_cost.cc, the
 # exhaustive oracle), the DP golden (tests/golden/dp_counters.txt) and the
 # fuzz invariants — not a frozen copy of older code. The names below are
-# those copies and the options that selected them.
+# those copies and the options that selected them, plus the retired second
+# serving path (the batch driver) and its expected-cost memo cache.
 #
 # Usage: tools/check_no_frozen_copies.sh
-# Scans src/, tests/, bench/ and tools/. One exception: the wire format
+# Scans src/, tests/, bench/, tools/ and examples/. One exception: the wire format
 # still carries the retired use_dist_kernels bool (written constant,
 # ignored on read), so src/service/serde.cc may name it.
 # Exit status: 0 when none appear, 1 otherwise (each hit is listed).
@@ -27,11 +28,18 @@ names=(
   ExecutePlanOnEngine
   EngineRunResult
   eager_invalidate_sweep
+  EcCache
+  RunBatch
+  BatchOptions
+  BatchReport
+  use_ec_cache
+  PlanExpectedCostStaticCached
+  LecStaticMemoizedCostProvider
 )
 
 fail=0
 for name in "${names[@]}"; do
-  hits=$(grep -rnF -- "$name" src tests bench tools | grep -v "^$self:")
+  hits=$(grep -rnF -- "$name" src tests bench tools examples | grep -v "^$self:")
   if [ "$name" = use_dist_kernels ]; then
     hits=$(printf '%s\n' "$hits" | grep -v '^src/service/serde\.cc:')
   fi
