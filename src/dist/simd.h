@@ -10,9 +10,9 @@
 //
 // Dispatch model: the active level is a THREAD-LOCAL (the serving
 // pipeline runs optimizations on worker threads; a scoped override must
-// never leak across workers), initialized from DefaultLevel() = the highest CPU-
-// supported level clamped by the LECOPT_SIMD environment variable
-// ("scalar", "sse2", "avx2"). OptimizerOptions::simd_mode lets a request
+// never leak across workers), initialized from DefaultLevel() = the
+// highest CPU-supported level clamped by the LECOPT_SIMD environment
+// variable ("scalar", "sse2", "avx2"). OptimizerOptions::simd_mode lets a request
 // pin a level through the facade; ScopedLevel is the RAII primitive
 // everything routes through.
 //

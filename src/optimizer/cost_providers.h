@@ -6,7 +6,7 @@
 // the spirit of mutable's CRTP CostFunction design, the provider is the
 // only point of variation between System R and Algorithm C (§3.3's
 // locality claim expressed in the type system). This header adds the
-// pieces that genuinely need optimizer-layer types.
+// candidate-scoring post-pass Algorithms A and B share.
 #ifndef LECOPT_OPTIMIZER_COST_PROVIDERS_H_
 #define LECOPT_OPTIMIZER_COST_PROVIDERS_H_
 

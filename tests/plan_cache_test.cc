@@ -2,9 +2,9 @@
 // elapsed_seconds), signatures discriminate exactly the inputs results
 // depend on, eviction respects the cap, snapshots round-trip, and the
 // cache is shareable across the serving pipeline's workers without
-// changing objectives or plans. The request memo (aliases) serves a repeat raw
-// request bit-identically, leaves hit/miss accounting unchanged, and
-// drops its aliases with their entry on every path.
+// changing objectives or plans. The request memo (aliases) serves a
+// repeat raw request bit-identically, leaves hit/miss accounting
+// unchanged, and drops its aliases with their entry on every path.
 #include "service/plan_cache.h"
 
 #include <gtest/gtest.h>

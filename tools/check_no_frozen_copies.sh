@@ -8,9 +8,9 @@
 # serving path (the batch driver) and its expected-cost memo cache.
 #
 # Usage: tools/check_no_frozen_copies.sh
-# Scans src/, tests/, bench/, tools/ and examples/. One exception: the wire format
-# still carries the retired use_dist_kernels bool (written constant,
-# ignored on read), so src/service/serde.cc may name it.
+# Scans src/, tests/, bench/, tools/ and examples/. One exception: the
+# wire format still carries the retired use_dist_kernels bool (written
+# constant, ignored on read), so src/service/serde.cc may name it.
 # Exit status: 0 when none appear, 1 otherwise (each hit is listed).
 set -u
 cd "$(dirname "$0")/.."
