@@ -19,7 +19,6 @@
 #define LECOPT_OPTIMIZER_ALGORITHM_D_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "cost/cost_model.h"
 #include "cost/fast_expected_cost.h"

@@ -101,6 +101,8 @@ std::string Render(const GoldenCase& c, const OptimizeResult& r,
   char bits[32];
   std::snprintf(bits, sizeof(bits), "%016" PRIx64,
                 std::bit_cast<uint64_t>(r.objective));
+  // "uncached" keeps the case headers as first recorded, when each case
+  // also ran with an expected-cost cache.
   os << "case " << c.name << " uncached\n";
   os << "objective_bits " << bits << "\n";
   os << "candidates_considered " << r.candidates_considered << "\n";
