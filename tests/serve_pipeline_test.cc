@@ -4,7 +4,8 @@
 // an injected clock, shutdown drains every admitted job, and any worker
 // count serves bit-identically to a sequential facade run. Also the PR-5
 // miss-then-insert race regression: N concurrent identical cold requests
-// cost exactly one strategy invocation.
+// cost exactly one strategy invocation. A whole workload served as a
+// batch matches direct optimization and is invariant to the worker count.
 #include "service/serve_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "dist/builders.h"
+#include "optimizer/algorithm_c.h"
 #include "query/generator.h"
 #include "service/plan_cache.h"
 #include "util/rng.h"
@@ -77,6 +80,50 @@ void ExpectBitEqual(const OptimizeResult& a, const OptimizeResult& b) {
   EXPECT_EQ(a.candidates_by_phase, b.candidates_by_phase);
   EXPECT_EQ(a.pruned_expansions, b.pruned_expansions);
   EXPECT_TRUE(PlanEquals(a.plan, b.plan));
+}
+
+/// A batch corpus served as a workload: alternating 4-table chains and
+/// 5-table stars, half with an ORDER BY, all under one memory distribution.
+std::vector<serde::ServeRequest> MakeBatch(size_t count,
+                                           const std::string& strategy) {
+  std::vector<serde::ServeRequest> batch;
+  Rng rng(7);
+  for (size_t i = 0; i < count; ++i) {
+    WorkloadOptions wopts;
+    wopts.num_tables = 4 + static_cast<int>(i % 2);
+    wopts.shape = i % 2 == 0 ? JoinGraphShape::kChain : JoinGraphShape::kStar;
+    wopts.order_by_probability = 0.5;
+    serde::ServeRequest request;
+    request.strategy = strategy;
+    request.workload = GenerateWorkload(wopts, &rng);
+    request.memory = UniformBuckets(50, 2000, 4);
+    batch.push_back(std::move(request));
+  }
+  return batch;
+}
+
+/// Serves `batch` through a fresh pipeline with `workers` workers and a
+/// shared PlanCache; returns the outcomes in submission order.
+std::vector<OptimizeResult> ServeBatch(
+    const std::vector<serde::ServeRequest>& batch, int workers) {
+  PlanCache cache;
+  ServePipeline::Options opts;
+  opts.workers = workers;
+  opts.plan_cache = &cache;
+  ServePipeline pipeline(opts);
+  std::vector<ServeTicket> tickets;
+  for (const serde::ServeRequest& r : batch) {
+    tickets.push_back(pipeline.Submit(r));
+  }
+  std::vector<OptimizeResult> results;
+  for (const ServeTicket& t : tickets) {
+    const ServeOutcome& out = t.Wait();
+    EXPECT_EQ(out.status, ServeStatus::kOk);
+    results.push_back(out.result);
+  }
+  ServePipeline::Stats stats = pipeline.stats();
+  EXPECT_EQ(stats.served, batch.size());
+  return results;
 }
 
 /// A gate the test opens to let gated strategy invocations proceed, plus
@@ -576,6 +623,44 @@ TEST_F(ServePipelineTest, FourThreadHammerMatchesSequentialFacadeBitForBit) {
   EXPECT_EQ(stats.served, 96u);
   EXPECT_EQ(stats.served + stats.rejected + stats.shutdown + stats.errors,
             stats.submitted);
+}
+
+TEST_F(ServePipelineTest, BatchObjectivesMatchDirectOptimization) {
+  std::vector<serde::ServeRequest> batch = MakeBatch(8, "lec_static");
+  std::vector<OptimizeResult> served = ServeBatch(batch, 2);
+  ASSERT_EQ(served.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    OptimizeResult direct =
+        OptimizeLecStatic(batch[i].workload.query, batch[i].workload.catalog,
+                          model_, batch[i].memory);
+    EXPECT_EQ(served[i].objective, direct.objective) << "query " << i;
+  }
+}
+
+TEST_F(ServePipelineTest, BatchWorkerCountInvariant) {
+  std::vector<serde::ServeRequest> batch = MakeBatch(12, "algorithm_d");
+  std::vector<OptimizeResult> one = ServeBatch(batch, 1);
+  ASSERT_EQ(one.size(), batch.size());
+  for (int workers : {2, 4}) {
+    std::vector<OptimizeResult> many = ServeBatch(batch, workers);
+    ASSERT_EQ(many.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(Bits(many[i].objective), Bits(one[i].objective))
+          << "query " << i << " at " << workers << " workers";
+    }
+  }
+}
+
+TEST_F(ServePipelineTest, BatchPlansAreWorkerCountInvariant) {
+  std::vector<serde::ServeRequest> batch = MakeBatch(9, "lec_static");
+  std::vector<OptimizeResult> one = ServeBatch(batch, 1);
+  std::vector<OptimizeResult> three = ServeBatch(batch, 3);
+  ASSERT_EQ(one.size(), batch.size());
+  ASSERT_EQ(three.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_NE(one[i].plan, nullptr) << "query " << i;
+    EXPECT_TRUE(PlanEquals(one[i].plan, three[i].plan)) << "query " << i;
+  }
 }
 
 }  // namespace
