@@ -1,7 +1,6 @@
 #include "optimizer/algorithm_b.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "optimizer/cost_providers.h"
@@ -80,36 +79,25 @@ std::vector<std::pair<PlanPtr, double>> TopCPlansAtMemory(
         double right_pages = ctx.TablePages(j);
         const TopList& right_list = table[TableSet{1} << j].at(kUnsorted);
 
-        for (const auto& [left_order, left_list] : table[sj]) {
+        for (const auto& left_entry : table[sj]) {
+          OrderId left_order = left_entry.first;
+          const TopList& left_list = left_entry.second;
           std::vector<double> left_costs;
           left_costs.reserve(left_list.size());
           for (const DpEntry& e : left_list) left_costs.push_back(e.cost);
 
-          for (JoinMethod method : ctx.options().join_methods) {
-            std::vector<int> keys;
-            if (method == JoinMethod::kSortMerge) {
-              if (preds.empty()) continue;
-              keys = preds;
-            } else {
-              keys.push_back(kUnsorted);
-            }
-            for (int key : keys) {
-              struct InnerAlt {
-                PlanPtr plan;
-                double cost;
-                bool sorted;
-              };
-              std::vector<InnerAlt> inners;
-              inners.push_back(
-                  {right_list[0].plan, right_list[0].cost, false});
-              if (method == JoinMethod::kSortMerge &&
-                  ctx.options().consider_sort_enforcers) {
-                inners.push_back({MakeSort(right_list[0].plan, key),
-                                  right_list[0].cost +
-                                      model.SortCost(right_pages, memory),
-                                  true});
-              }
-              for (const InnerAlt& inner : inners) {
+          // The inner under a sort enforcer on the current sort-merge key.
+          DpEntry sorted_inner;
+          ForEachJoinStep(
+              ctx.options(), preds, kEveryJoinMethod,
+              [&](OrderId key) {
+                sorted_inner = {MakeSort(right_list[0].plan, key),
+                                right_list[0].cost +
+                                    model.SortCost(right_pages, memory)};
+              },
+              [&](JoinMethod method, OrderId key, bool inner_sorted) {
+                const DpEntry& inner =
+                    inner_sorted ? sorted_inner : right_list[0];
                 // All left variants share size/order properties, so the
                 // join's own cost is evaluated once (§3.3: "the only
                 // difference ... arises from the sum of the costs of the
@@ -117,7 +105,7 @@ std::vector<std::pair<PlanPtr, double>> TopCPlansAtMemory(
                 bool left_sorted = key != kUnsorted && left_order == key;
                 double step =
                     model.JoinCost(method, left_pages, right_pages, memory,
-                                   left_sorted, inner.sorted);
+                                   left_sorted, inner_sorted);
                 size_t examined = 0;
                 std::vector<Combination> combos = TopCombinations(
                     left_costs, {inner.cost}, c, &examined);
@@ -131,9 +119,7 @@ std::vector<std::pair<PlanPtr, double>> TopCPlansAtMemory(
                                 method, preds, out_order, out_pages),
                        cb.cost + step});
                 }
-              }
-            }
-          }
+              });
         }
       }
       for (auto& [order, list] : accum) {
@@ -177,34 +163,15 @@ OptimizeResult OptimizeAlgorithmB(const Query& query, const Catalog& catalog,
                                   const OptimizerOptions& options) {
   WallTimer timer;
   OptimizeResult result;
-  std::vector<PlanPtr> candidates;
+  std::vector<PlanPtr> plans;
   for (const Bucket& m : memory.buckets()) {
-    size_t examined = 0;
-    auto top = TopCPlansAtMemory(query, catalog, model, m.value, c, options,
-                                 &examined);
-    result.candidates_considered += examined;
-    for (const auto& [plan, cost] : top) {
-      (void)cost;
-      bool duplicate = false;
-      for (const PlanPtr& existing : candidates) {
-        if (PlanEquals(existing, plan)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) candidates.push_back(plan);
+    for (const auto& top : TopCPlansAtMemory(query, catalog, model, m.value,
+                                             c, options,
+                                             &result.candidates_considered)) {
+      plans.push_back(top.first);
     }
   }
-  double best = std::numeric_limits<double>::infinity();
-  for (const PlanPtr& cand : candidates) {
-    double ec = ScoreCandidateStatic(cand, query, catalog, model, memory,
-                                     &result.cost_evaluations);
-    if (ec < best) {
-      best = ec;
-      result.plan = cand;
-    }
-  }
-  result.objective = best;
+  ChooseLeastExpectedCost(plans, query, catalog, model, memory, &result);
   result.elapsed_seconds = timer.Seconds();
   return result;
 }

@@ -10,7 +10,9 @@
 // result-size distributions for Algorithm D) and in how many entries are
 // retained per node (one per order for System R, Algorithm C and
 // Algorithm D, top-c for Algorithm B). The common skeleton, RunDpInto,
-// lives here, parameterized by a statically dispatched cost provider.
+// lives here, parameterized by a statically dispatched cost provider, and
+// so does ForEachJoinStep, the (method, key, enforcer) plan space of one
+// join step that every left-deep optimizer enumerates through.
 #ifndef LECOPT_OPTIMIZER_DP_COMMON_H_
 #define LECOPT_OPTIMIZER_DP_COMMON_H_
 
@@ -294,6 +296,51 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 
 }  // namespace internal
 
+/// The left-deep plan space of one join step, shared by RunDpInto,
+/// GreedyIncumbent, Algorithm B's top-c DP and the randomized search:
+/// visits the steps joining one relation to an outer, given the predicates
+/// `preds` connecting them. Every method of `opts.join_methods` runs once,
+/// except that sort-merge runs once per key in `preds` (none without one),
+/// each key twice under consider_sort_enforcers: raw inner first, then
+/// inner behind a sort enforcer. The tie-breaks assume this order.
+///
+///   * on_method(method, num_steps) -> bool runs before a method's steps;
+///     false skips them.
+///   * on_enforcer(key) runs before the steps of a key with a sorted-inner
+///     alternative: where the enforcer's sort is costed, once per key.
+///   * on_step(method, key, inner_sorted); `key` is kUnsorted unless SM.
+///
+/// Hooks are template parameters, so the loops inline into each caller.
+/// The oracles (exhaustive.cc, bushy.cc's BushyPlansFor) and the bushy DP
+/// keep their own loops on purpose; see DESIGN.md.
+template <typename OnMethod, typename OnEnforcer, typename OnStep>
+void ForEachJoinStep(const OptimizerOptions& opts,
+                     const std::vector<int>& preds, OnMethod&& on_method,
+                     OnEnforcer&& on_enforcer, OnStep&& on_step) {
+  for (JoinMethod method : opts.join_methods) {
+    bool sort_merge = method == JoinMethod::kSortMerge;
+    if (sort_merge && preds.empty()) continue;  // SM needs a key
+    size_t num_keys = sort_merge ? preds.size() : 1;
+    bool with_enforcer = sort_merge && opts.consider_sort_enforcers;
+    int num_inners = with_enforcer ? 2 : 1;
+    if (!on_method(method, num_keys * static_cast<size_t>(num_inners))) {
+      continue;
+    }
+    for (size_t ki = 0; ki < num_keys; ++ki) {
+      OrderId key = sort_merge ? preds[ki] : kUnsorted;
+      if (with_enforcer) on_enforcer(key);
+      for (int inner = 0; inner < num_inners; ++inner) {
+        on_step(method, key, inner == 1);
+      }
+    }
+  }
+}
+
+/// ForEachJoinStep's on_method hook for callers that skip no method.
+inline constexpr auto kEveryJoinMethod = [](JoinMethod, size_t) {
+  return true;
+};
+
 // ---------------------------------------------------------------------------
 // Allocation-free DP core.
 //
@@ -315,8 +362,8 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 //     boundary.
 //
 // Candidates are enumerated by subset size, subsets ascending, then by
-// joined relation, left entry (ascending order), method, key and inner
-// alternative; ties keep the first-seen entry (strict <). Objectives,
+// joined relation, left entry (ascending order), then ForEachJoinStep's
+// method, key and inner alternative; ties keep the first-seen entry (strict <). Objectives,
 // plans and counters at n = 10, 19 and 20 are pinned bit for bit by
 // tests/golden/dp_counters.txt, and optimality by the exhaustive oracle
 // (fuzz invariant I1).
@@ -500,22 +547,15 @@ double GreedyIncumbent(const DpContext& ctx, const P& cost,
       if (s >> j & 1) continue;
       if (ctx.CrossProductForbidden(s, j)) continue;
       query.ConnectingPredicatesInto(s, j, &scratch->preds());
-      const std::vector<int>& preds = scratch->preds();
       double right_pages = ctx.TablePages(j);
-      for (JoinMethod method : opts.join_methods) {
-        bool sort_merge = method == JoinMethod::kSortMerge;
-        if (sort_merge && preds.empty()) continue;
-        size_t num_keys = sort_merge ? preds.size() : 1;
-        for (size_t ki = 0; ki < num_keys; ++ki) {
-          OrderId key = sort_merge ? preds[ki] : kUnsorted;
-          bool with_enforcer = sort_merge && opts.consider_sort_enforcers;
-          double enforcer_cost = 0;
-          if (with_enforcer) {
+      double enforcer_cost = 0;
+      ForEachJoinStep(
+          opts, scratch->preds(), kEveryJoinMethod,
+          [&](OrderId) {
             ++result->incumbent_cost_evaluations;
             enforcer_cost = cost.SortCost(right_pages, phase_idx);
-          }
-          for (int inner = 0; inner < (with_enforcer ? 2 : 1); ++inner) {
-            bool inner_sorted = inner == 1;
+          },
+          [&](JoinMethod method, OrderId key, bool inner_sorted) {
             ++result->incumbent_cost_evaluations;
             bool left_sorted = key != kUnsorted && order == key;
             double step = cost.JoinCost(method, left_pages, right_pages,
@@ -527,9 +567,7 @@ double GreedyIncumbent(const DpContext& ctx, const P& cost,
               best_j = static_cast<int>(j);
               best_order = DpContext::JoinOutputOrder(method, order, key);
             }
-          }
-        }
-      }
+          });
     }
     if (best_j < 0) return std::numeric_limits<double>::infinity();
     s |= TableSet{1} << best_j;
@@ -813,35 +851,28 @@ void RunDpCore(const DpContext& ctx, const S& steps, const P& cost,
               continue;
             }
           }
-          for (JoinMethod method : opts.join_methods) {
-            // Sort-merge may key on any connecting predicate; other methods
-            // use a single canonical candidate.
-            bool sort_merge = method == JoinMethod::kSortMerge;
-            if (sort_merge && preds.empty()) continue;  // SM needs a key
-            size_t num_keys = sort_merge ? preds.size() : 1;
-            if constexpr (DpPruningProvider<P>) {
-              if (prune) {
-                double floor =
-                    cost.StepFloor(method, left->pages, ctx.TablePages(j));
-                if (left_cost + right_cost + floor + rem_after >
-                    prune_limit) {
-                  bool enf = sort_merge && opts.consider_sort_enforcers;
-                  result->pruned_candidates += num_keys * (enf ? 2 : 1);
-                  continue;
+          double enforcer_cost = 0;
+          ForEachJoinStep(
+              opts, preds,
+              [&]([[maybe_unused]] JoinMethod method,
+                  [[maybe_unused]] size_t num_steps) {
+                if constexpr (DpPruningProvider<P>) {
+                  if (prune) {
+                    double floor =
+                        cost.StepFloor(method, left->pages, ctx.TablePages(j));
+                    if (left_cost + right_cost + floor + rem_after >
+                        prune_limit) {
+                      result->pruned_candidates += num_steps;
+                      return false;
+                    }
+                  }
                 }
-              }
-            }
-            for (size_t ki = 0; ki < num_keys; ++ki) {
-              OrderId key = sort_merge ? preds[ki] : kUnsorted;
-              // Inner-side alternatives: raw scan, plus an explicit sort
-              // enforcer when the options allow and SM could benefit.
-              bool with_enforcer =
-                  sort_merge && opts.consider_sort_enforcers;
-              double enforcer_cost =
-                  with_enforcer ? step.Enforcer(&result->cost_evaluations)
-                                : 0.0;
-              for (int inner = 0; inner < (with_enforcer ? 2 : 1); ++inner) {
-                bool inner_sorted = inner == 1;
+                return true;
+              },
+              [&](OrderId) {
+                enforcer_cost = step.Enforcer(&result->cost_evaluations);
+              },
+              [&](JoinMethod method, OrderId key, bool inner_sorted) {
                 ++result->candidates_considered;
                 ++result->candidates_by_phase[static_cast<size_t>(phase_idx)];
                 bool left_sorted = key != kUnsorted && left_order == key;
@@ -857,7 +888,7 @@ void RunDpCore(const DpContext& ctx, const S& steps, const P& cost,
                   // most the optimum, strictly inside the slacked limit.
                   if (prune && total + rem_after > prune_limit) {
                     ++result->pruned_entries;
-                    continue;
+                    return;
                   }
                 }
                 OrderId out_order =
@@ -869,9 +900,7 @@ void RunDpCore(const DpContext& ctx, const S& steps, const P& cost,
                 d.method = method;
                 d.inner_sorted = inner_sorted;
                 scratch->RetainBest(out_order, total, d);
-              }
-            }
-          }
+              });
         }
       }
       scratch->CloseSlot([&] { return steps.SlotPages(s); });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -12,120 +11,110 @@ namespace lec {
 
 namespace {
 
-struct EvalState {
-  PlanPtr plan;
-  double cost = 0;
+/// Evaluates join orders of one query, reading the relations' mean page
+/// counts and the cross-product rule computed once per search. Not a
+/// DpContext: that rejects queries of more than 20 relations, and this
+/// search exists for joins too wide for the DP.
+class OrderEvaluator {
+ public:
+  OrderEvaluator(const Query& query, const Catalog& catalog,
+                 const CostModel& model, const Distribution& memory,
+                 const OptimizerOptions& options)
+      : query_(query),
+        model_(model),
+        memory_(memory),
+        options_(options),
+        forbid_cross_products_(options.avoid_cross_products &&
+                               query.IsConnected(query.AllTables())) {
+    for (QueryPos p = 0; p < query.num_tables(); ++p) {
+      table_pages_.push_back(catalog.table(query.table(p)).SizeMean());
+    }
+  }
+
+  /// Evaluates `order` without 2^n precomputation (sizes accumulate along
+  /// the prefix); returns nullopt if the order needs a forbidden cross
+  /// product.
+  std::optional<OptimizeResult> Evaluate(const std::vector<QueryPos>& order,
+                                         size_t* cost_evals) const {
+    OrderMap states;
+    QueryPos first = order[0];
+    states[kUnsorted] = {MakeAccess(first, table_pages_[first]),
+                         table_pages_[first]};
+    TableSet covered = TableSet{1} << first;
+    double covered_pages = table_pages_[first];
+
+    for (size_t step = 1; step < order.size(); ++step) {
+      QueryPos j = order[step];
+      std::vector<int> preds = query_.ConnectingPredicates(covered, j);
+      if (preds.empty() && forbid_cross_products_) return std::nullopt;
+      double right_pages = table_pages_[j];
+      double out_pages =
+          covered_pages * right_pages * query_.MeanSelectivity(preds);
+      PlanPtr access = MakeAccess(j, right_pages);
+
+      OrderMap next;
+      for (const auto& state : states) {
+        OrderId left_order = state.first;
+        const DpEntry& left = state.second;
+        PlanPtr sorted_access;
+        double enforcer_cost = 0;
+        ForEachJoinStep(
+            options_, preds, kEveryJoinMethod,
+            [&](OrderId key) {
+              ++*cost_evals;
+              enforcer_cost =
+                  ExpectedSortCostFixedSize(model_, right_pages, memory_);
+              sorted_access = MakeSort(access, key);
+            },
+            [&](JoinMethod method, OrderId key, bool inner_sorted) {
+              ++*cost_evals;
+              bool ls = key != kUnsorted && left_order == key;
+              double step_cost = ExpectedJoinCostFixedSizes(
+                  model_, method, covered_pages, right_pages, memory_, ls,
+                  inner_sorted);
+              OrderId out_order =
+                  DpContext::JoinOutputOrder(method, left_order, key);
+              internal::RetainBest(
+                  &next, out_order,
+                  {MakeJoin(left.plan, inner_sorted ? sorted_access : access,
+                            method, preds, out_order, out_pages),
+                   left.cost + right_pages +
+                       (inner_sorted ? enforcer_cost : 0.0) + step_cost});
+            });
+      }
+      states = std::move(next);
+      covered |= TableSet{1} << j;
+      covered_pages = out_pages;
+    }
+
+    OptimizeResult result;
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& [o, s] : states) {
+      double total = s.cost;
+      PlanPtr plan = s.plan;
+      if (query_.required_order() && o != *query_.required_order()) {
+        ++*cost_evals;
+        total += ExpectedSortCostFixedSize(model_, covered_pages, memory_);
+        plan = MakeSort(plan, *query_.required_order());
+      }
+      if (total < best) {
+        best = total;
+        result.plan = plan;
+      }
+    }
+    result.objective = best;
+    result.candidates_considered = 1;
+    return result;
+  }
+
+ private:
+  const Query& query_;
+  const CostModel& model_;
+  const Distribution& memory_;
+  const OptimizerOptions& options_;
+  bool forbid_cross_products_;
+  std::vector<double> table_pages_;
 };
-
-/// Evaluates `order` without 2^n precomputation (sizes accumulate along the
-/// prefix); returns nullopt if the order needs a forbidden cross product.
-std::optional<OptimizeResult> TryEvaluate(const Query& query,
-                                          const Catalog& catalog,
-                                          const CostModel& model,
-                                          const Distribution& memory,
-                                          const std::vector<QueryPos>& order,
-                                          const OptimizerOptions& options,
-                                          size_t* cost_evals) {
-  int n = query.num_tables();
-  if (static_cast<int>(order.size()) != n) {
-    throw std::invalid_argument("order must cover every relation once");
-  }
-  std::vector<double> table_pages(n);
-  for (QueryPos p = 0; p < n; ++p) {
-    table_pages[p] = catalog.table(query.table(p)).SizeMean();
-  }
-  bool query_connected = query.IsConnected(query.AllTables());
-
-  std::map<OrderId, EvalState> states;
-  QueryPos first = order[0];
-  states[kUnsorted] = {MakeAccess(first, table_pages[first]),
-                       table_pages[first]};
-  TableSet covered = TableSet{1} << first;
-  double covered_pages = table_pages[first];
-
-  for (size_t step = 1; step < order.size(); ++step) {
-    QueryPos j = order[step];
-    std::vector<int> preds = query.ConnectingPredicates(covered, j);
-    if (preds.empty() && options.avoid_cross_products && query_connected) {
-      return std::nullopt;
-    }
-    double right_pages = table_pages[j];
-    double sel = query.MeanSelectivity(preds);
-    double out_pages = covered_pages * right_pages * sel;
-    PlanPtr access = MakeAccess(j, right_pages);
-    double access_cost = right_pages;
-
-    std::map<OrderId, EvalState> next;
-    auto retain = [&next](OrderId o, EvalState s) {
-      auto it = next.find(o);
-      if (it == next.end() || s.cost < it->second.cost) {
-        next[o] = std::move(s);
-      }
-    };
-    for (const auto& [left_order, left] : states) {
-      for (JoinMethod method : options.join_methods) {
-        std::vector<int> keys;
-        if (method == JoinMethod::kSortMerge) {
-          if (preds.empty()) continue;
-          keys = preds;
-        } else {
-          keys.push_back(kUnsorted);
-        }
-        for (int key : keys) {
-          struct Inner {
-            bool sorted;
-            double extra;
-          };
-          std::vector<Inner> inners = {{false, 0.0}};
-          if (method == JoinMethod::kSortMerge &&
-              options.consider_sort_enforcers) {
-            ++*cost_evals;
-            inners.push_back(
-                {true, ExpectedSortCostFixedSize(model, right_pages,
-                                                 memory)});
-          }
-          for (const Inner& inner : inners) {
-            ++*cost_evals;
-            bool ls = key != kUnsorted && left_order == key;
-            double step_cost = ExpectedJoinCostFixedSizes(
-                model, method, covered_pages, right_pages, memory, ls,
-                inner.sorted);
-            OrderId out_order =
-                DpContext::JoinOutputOrder(method, left_order, key);
-            PlanPtr right_plan = access;
-            if (inner.sorted) right_plan = MakeSort(right_plan, key);
-            retain(out_order,
-                   {MakeJoin(left.plan, right_plan, method, preds, out_order,
-                             out_pages),
-                    left.cost + access_cost + inner.extra + step_cost});
-          }
-        }
-      }
-    }
-    states = std::move(next);
-    covered |= TableSet{1} << j;
-    covered_pages = out_pages;
-  }
-
-  OptimizeResult result;
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& [o, s] : states) {
-    double total = s.cost;
-    PlanPtr plan = s.plan;
-    if (query.required_order() && o != *query.required_order()) {
-      ++*cost_evals;
-      total += ExpectedSortCostFixedSize(model, covered_pages, memory);
-      plan = MakeSort(plan, *query.required_order());
-    }
-    if (total < best) {
-      best = total;
-      result.plan = plan;
-    }
-  }
-  result.objective = best;
-  result.candidates_considered = 1;
-  return result;
-}
 
 }  // namespace
 
@@ -160,9 +149,18 @@ OptimizeResult EvaluateJoinOrder(const Query& query, const Catalog& catalog,
                                  const Distribution& memory,
                                  const std::vector<QueryPos>& order,
                                  const OptimizerOptions& options) {
+  TableSet seen = 0;
+  for (QueryPos p : order) {
+    if (p >= 0 && p < query.num_tables()) seen |= TableSet{1} << p;
+  }
+  if (order.size() != static_cast<size_t>(query.num_tables()) ||
+      seen != query.AllTables()) {
+    throw std::invalid_argument("order must cover every relation once");
+  }
   size_t evals = 0;
   std::optional<OptimizeResult> r =
-      TryEvaluate(query, catalog, model, memory, order, options, &evals);
+      OrderEvaluator(query, catalog, model, memory, options)
+          .Evaluate(order, &evals);
   if (!r) {
     throw std::invalid_argument(
         "join order requires a forbidden cross product");
@@ -181,13 +179,14 @@ OptimizeResult OptimizeRandomizedLec(const Query& query,
   OptimizeResult best;
   best.objective = std::numeric_limits<double>::infinity();
   size_t total_evals = 0, total_orders = 0;
+  OrderEvaluator evaluator(query, catalog, model, memory,
+                           options.plan_options);
 
   for (int restart = 0; restart < std::max(options.restarts, 1); ++restart) {
     std::vector<QueryPos> order =
         RandomConnectedOrder(query, rng, options.plan_options);
-    std::optional<OptimizeResult> cur = TryEvaluate(
-        query, catalog, model, memory, order, options.plan_options,
-        &total_evals);
+    std::optional<OptimizeResult> cur =
+        evaluator.Evaluate(order, &total_evals);
     ++total_orders;
     if (!cur) continue;
 
@@ -204,9 +203,8 @@ OptimizeResult OptimizeRandomizedLec(const Query& query,
       for (auto [i, j] : moves) {
         std::swap(order[static_cast<size_t>(i)],
                   order[static_cast<size_t>(j)]);
-        std::optional<OptimizeResult> cand = TryEvaluate(
-            query, catalog, model, memory, order, options.plan_options,
-            &total_evals);
+        std::optional<OptimizeResult> cand =
+            evaluator.Evaluate(order, &total_evals);
         ++total_orders;
         if (cand && cand->objective < cur->objective * (1 - 1e-12)) {
           cur = cand;
