@@ -310,11 +310,13 @@ inline void RetainBest(OrderMap* node, OrderId order, DpEntry entry) {
 ///     alternative: where the enforcer's sort is costed, once per key.
 ///   * on_step(method, key, inner_sorted); `key` is kUnsorted unless SM.
 ///
-/// Hooks are template parameters, so the loops inline into each caller.
+/// Hooks are template parameters, and the enumerator is forced inline:
+/// RunDpInto calls it once per left entry, and GCC otherwise keeps it out
+/// of line there, so the hooks would reach the DP's state through memory.
 /// The oracles (exhaustive.cc, bushy.cc's BushyPlansFor) and the bushy DP
 /// keep their own loops on purpose; see DESIGN.md.
 template <typename OnMethod, typename OnEnforcer, typename OnStep>
-void ForEachJoinStep(const OptimizerOptions& opts,
+[[gnu::always_inline]] inline void ForEachJoinStep(const OptimizerOptions& opts,
                      const std::vector<int>& preds, OnMethod&& on_method,
                      OnEnforcer&& on_enforcer, OnStep&& on_step) {
   for (JoinMethod method : opts.join_methods) {
@@ -363,10 +365,10 @@ inline constexpr auto kEveryJoinMethod = [](JoinMethod, size_t) {
 //
 // Candidates are enumerated by subset size, subsets ascending, then by
 // joined relation, left entry (ascending order), then ForEachJoinStep's
-// method, key and inner alternative; ties keep the first-seen entry (strict <). Objectives,
-// plans and counters at n = 10, 19 and 20 are pinned bit for bit by
-// tests/golden/dp_counters.txt, and optimality by the exhaustive oracle
-// (fuzz invariant I1).
+// method, key and inner alternative; ties keep the first-seen entry
+// (strict <). Objectives, plans and counters at n = 10, 19 and 20 are
+// pinned bit for bit by tests/golden/dp_counters.txt, and optimality by
+// the exhaustive oracle (fuzz invariant I1).
 // ---------------------------------------------------------------------------
 
 /// The decision that produced a retained DP entry.
