@@ -87,7 +87,9 @@ INSTANTIATE_TEST_SUITE_P(Cs, PropositionThreeOneTest,
                                            48, 64));
 
 // Top-c DP returns exactly the c cheapest complete plans (Theorem 3.2's
-// candidate generation), verified against exhaustive enumeration.
+// candidate generation), verified against exhaustive enumeration — once
+// plain and once with the sorted-input discount and sort enforcers, so the
+// inner-sorted alternative is held to the oracle too.
 class TopCDpTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TopCDpTest, MatchesExhaustiveTopC) {
@@ -97,25 +99,32 @@ TEST_P(TopCDpTest, MatchesExhaustiveTopC) {
   wopts.shape = static_cast<JoinGraphShape>(GetParam() % 5);
   wopts.order_by_probability = 0.5;
   Workload w = GenerateWorkload(wopts, &rng);
-  CostModel model;
-  OptimizerOptions opts;
-  for (double memory : {50.0, 2000.0}) {
-    for (size_t c : {1u, 2u, 4u, 8u}) {
-      auto dp = TopCPlansAtMemory(w.query, w.catalog, model, memory, c,
-                                  opts);
-      auto oracle = ExhaustiveTopK(
-          w.query, w.catalog, opts,
-          [&](const PlanPtr& p) {
-            return PlanCostAtMemory(p, w.query, w.catalog, model, memory);
-          },
-          c);
-      ASSERT_EQ(dp.size(), oracle.size()) << "memory=" << memory
-                                          << " c=" << c;
-      size_t n = std::min(dp.size(), oracle.size());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(dp[i].second, oracle[i].second,
-                    1e-9 * std::max(1.0, oracle[i].second))
-            << "memory=" << memory << " c=" << c << " rank=" << i;
+  for (bool enforcers : {false, true}) {
+    CostModelOptions mo;
+    mo.sorted_input_discount = enforcers;
+    CostModel model(mo);
+    OptimizerOptions opts;
+    opts.consider_sort_enforcers = enforcers;
+    for (double memory : {50.0, 2000.0}) {
+      for (size_t c : {1u, 2u, 4u, 8u}) {
+        auto dp = TopCPlansAtMemory(w.query, w.catalog, model, memory, c,
+                                    opts);
+        auto oracle = ExhaustiveTopK(
+            w.query, w.catalog, opts,
+            [&](const PlanPtr& p) {
+              return PlanCostAtMemory(p, w.query, w.catalog, model, memory);
+            },
+            c);
+        ASSERT_EQ(dp.size(), oracle.size())
+            << "enforcers=" << enforcers << " memory=" << memory
+            << " c=" << c;
+        size_t n = std::min(dp.size(), oracle.size());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(dp[i].second, oracle[i].second,
+                      1e-9 * std::max(1.0, oracle[i].second))
+              << "enforcers=" << enforcers << " memory=" << memory
+              << " c=" << c << " rank=" << i;
+        }
       }
     }
   }

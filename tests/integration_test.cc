@@ -207,28 +207,39 @@ TEST_P(InterestingOrdersTest, DpMatchesOracleWithDiscount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, InterestingOrdersTest,
                          ::testing::Range<uint64_t>(600, 610));
 
-// Optimization-cost accounting (Theorem 3.2/3.3 units): Algorithm C's cost
-// evaluations are ~b x System R's.
+// Optimization-cost accounting (Theorem 3.3 units): with pruning off,
+// Algorithm C examines exactly System R's candidates and runs exactly as
+// many cost evaluations, each of which covers b formula calls — so its
+// formula calls are exactly b x System R's.
 TEST(IntegrationTest, AlgorithmCCostScalesWithBuckets) {
-  Rng rng(12);
-  WorkloadOptions wopts;
-  wopts.num_tables = 6;
-  wopts.shape = JoinGraphShape::kClique;
-  Workload w = GenerateWorkload(wopts, &rng);
-  CostModel model;
   // Pruning off: the Theorem 3.2/3.3 accounting is about the full
   // enumeration, and the branch-and-bound skips different candidates per
   // costing regime (and per memory distribution).
   OptimizerOptions opts;
   opts.dp_pruning = DpPruning::kOff;
-  OptimizeResult lsc = OptimizeLsc(w.query, w.catalog, model, 500, opts);
-  // The DP examines the same number of candidates regardless of bucketing;
-  // per-candidate formula evaluations scale with b.
-  for (size_t b : {2u, 4u, 8u}) {
-    Distribution memory = UniformBuckets(10, 10000, b);
-    OptimizeResult lec =
-        OptimizeLecStatic(w.query, w.catalog, model, memory, opts);
-    EXPECT_EQ(lec.candidates_considered, lsc.candidates_considered);
+  CostModel model;
+  for (JoinGraphShape shape : {JoinGraphShape::kClique, JoinGraphShape::kChain,
+                               JoinGraphShape::kStar}) {
+    for (int n : {4, 6, 8}) {
+      Rng rng(12);
+      WorkloadOptions wopts;
+      wopts.num_tables = n;
+      wopts.shape = shape;
+      wopts.order_by_probability = 1.0;
+      Workload w = GenerateWorkload(wopts, &rng);
+      OptimizeResult lsc = OptimizeLsc(w.query, w.catalog, model, 500, opts);
+      for (size_t b : {1u, 2u, 8u, 32u}) {
+        Distribution memory = UniformBuckets(10, 10000, b);
+        OptimizeResult lec =
+            OptimizeLecStatic(w.query, w.catalog, model, memory, opts);
+        EXPECT_EQ(lec.candidates_considered, lsc.candidates_considered)
+            << "shape=" << static_cast<int>(shape) << " n=" << n
+            << " b=" << b;
+        EXPECT_EQ(lec.cost_evaluations, lsc.cost_evaluations)
+            << "shape=" << static_cast<int>(shape) << " n=" << n
+            << " b=" << b;
+      }
+    }
   }
 }
 

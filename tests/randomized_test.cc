@@ -16,18 +16,36 @@ Distribution TestMemory() {
 }
 
 TEST(EvaluateJoinOrderTest, MatchesDpForItsOwnOrder) {
-  // Evaluating the DP's chosen permutation must reproduce the DP objective.
-  Rng rng(1);
-  WorkloadOptions wopts;
-  wopts.num_tables = 5;
-  wopts.order_by_probability = 1.0;
-  Workload w = GenerateWorkload(wopts, &rng);
-  CostModel model;
-  Distribution memory = TestMemory();
-  OptimizeResult dp = OptimizeLecStatic(w.query, w.catalog, model, memory);
-  OptimizeResult eval = EvaluateJoinOrder(w.query, w.catalog, model, memory,
-                                          JoinOrder(dp.plan));
-  EXPECT_NEAR(eval.objective, dp.objective, 1e-9 * dp.objective);
+  // Evaluating the DP's chosen permutation must reproduce the DP objective
+  // and the independent plan costing — also with the sorted-input discount
+  // and sort enforcers, which add the inner-sorted alternative.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    WorkloadOptions wopts;
+    wopts.num_tables = 5;
+    wopts.shape = static_cast<JoinGraphShape>(seed % 5);
+    wopts.order_by_probability = 1.0;
+    Workload w = GenerateWorkload(wopts, &rng);
+    for (bool enforcers : {false, true}) {
+      CostModelOptions mo;
+      mo.sorted_input_discount = enforcers;
+      CostModel model(mo);
+      OptimizerOptions opts;
+      opts.consider_sort_enforcers = enforcers;
+      Distribution memory = TestMemory();
+      OptimizeResult dp =
+          OptimizeLecStatic(w.query, w.catalog, model, memory, opts);
+      OptimizeResult eval = EvaluateJoinOrder(
+          w.query, w.catalog, model, memory, JoinOrder(dp.plan), opts);
+      EXPECT_NEAR(eval.objective, dp.objective, 1e-9 * dp.objective)
+          << "seed=" << seed << " enforcers=" << enforcers;
+      EXPECT_NEAR(eval.objective,
+                  PlanExpectedCostStatic(eval.plan, w.query, w.catalog,
+                                         model, memory),
+                  1e-9 * eval.objective)
+          << "seed=" << seed << " enforcers=" << enforcers;
+    }
+  }
 }
 
 TEST(EvaluateJoinOrderTest, ObjectiveMatchesIndependentPlanCosting) {
@@ -69,6 +87,10 @@ TEST(EvaluateJoinOrderTest, RejectsCrossProductOrders) {
       EvaluateJoinOrder(q, catalog, model, TestMemory(), {0, 2, 1}, allow));
   EXPECT_THROW(EvaluateJoinOrder(q, catalog, model, TestMemory(), {0, 1}),
                std::invalid_argument);
+  // Every relation exactly once: a repeat is not a join order.
+  EXPECT_THROW(
+      EvaluateJoinOrder(q, catalog, model, TestMemory(), {0, 1, 1}, allow),
+      std::invalid_argument);
 }
 
 TEST(RandomConnectedOrderTest, AlwaysConnectedPrefixes) {
@@ -138,6 +160,32 @@ TEST(RandomizedTest, ScalesBeyondDpComfort) {
   EXPECT_TRUE(r.plan != nullptr);
   EXPECT_EQ(r.plan->tables, w.query.AllTables());
   EXPECT_TRUE(std::isfinite(r.objective));
+  EXPECT_NEAR(r.objective,
+              PlanExpectedCostStatic(r.plan, w.query, w.catalog, model,
+                                     memory),
+              1e-9 * r.objective);
+}
+
+TEST(RandomizedTest, SearchesJoinsWiderThanTheDp) {
+  // The search exists for joins the DP refuses (DpContext stops at 20
+  // relations); it must still return a complete, correctly costed plan.
+  Rng rng(11);
+  WorkloadOptions wopts;
+  wopts.num_tables = 24;
+  wopts.shape = JoinGraphShape::kChain;
+  Workload w = GenerateWorkload(wopts, &rng);
+  CostModel model;
+  Distribution memory = TestMemory();
+  EXPECT_THROW(DpContext(w.query, w.catalog, OptimizerOptions{}),
+               std::invalid_argument);
+  RandomizedOptions ropts;
+  ropts.restarts = 1;
+  ropts.patience = 1;
+  Rng search_rng(12);
+  OptimizeResult r = OptimizeRandomizedLec(w.query, w.catalog, model,
+                                           memory, &search_rng, ropts);
+  ASSERT_TRUE(r.plan != nullptr);
+  EXPECT_EQ(r.plan->tables, w.query.AllTables());
   EXPECT_NEAR(r.objective,
               PlanExpectedCostStatic(r.plan, w.query, w.catalog, model,
                                      memory),
