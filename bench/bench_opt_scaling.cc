@@ -71,18 +71,25 @@ BENCHMARK(BM_AlgorithmA)->ArgsProduct({{5, 7}, {2, 4, 8, 16}});
 
 void PrintStructuralTable() {
   bench::Header("E3",
-                "cost-formula evaluations: Algorithm C vs b x System R");
+                "cost-formula evaluations: Algorithm C vs b x System R "
+                "(pruning off)");
   std::printf("%-4s %-4s %16s %16s %18s %10s\n", "n", "b", "SystemR evals",
               "AlgoC evals", "AlgoC/(SystemR)", "ratio/b");
   bench::Rule();
   CostModel model;
+  // Theorem 3.3 counts the full enumeration. The branch-and-bound prunes
+  // different candidates under each costing regime and memory
+  // distribution, so with pruning on the ratio reads below 1 (0.817 at
+  // n = 6 for b >= 8) for reasons that have nothing to do with the theorem.
+  OptimizerOptions opts;
+  opts.dp_pruning = DpPruning::kOff;
   for (int n : {4, 6, 8}) {
     Workload w = MakeWorkload(n);
-    OptimizeResult lsc = OptimizeLsc(w.query, w.catalog, model, 800);
+    OptimizeResult lsc = OptimizeLsc(w.query, w.catalog, model, 800, opts);
     for (size_t b : {1u, 2u, 4u, 8u, 16u, 32u}) {
       Distribution memory = UniformBuckets(50, 5000, b);
       OptimizeResult lec =
-          OptimizeLecStatic(w.query, w.catalog, model, memory);
+          OptimizeLecStatic(w.query, w.catalog, model, memory, opts);
       // Each of AlgoC's "evaluations" covers b formula calls internally;
       // normalize to formula-call units.
       double algoc_units =
@@ -94,8 +101,9 @@ void PrintStructuralTable() {
     }
   }
   std::printf(
-      "\nExpectation per Theorem 3.3: ratio/b constant (~1), i.e. Algorithm"
-      " C\ncosts b times one System R invocation in formula evaluations.\n");
+      "\nExpectation per Theorem 3.3: ratio/b exactly 1, i.e. Algorithm C"
+      "\ncosts b times one System R invocation in formula evaluations\n"
+      "(tests/integration_test.cc asserts the equality).\n");
 }
 
 }  // namespace
